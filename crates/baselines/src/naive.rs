@@ -9,7 +9,7 @@ use tics_vm::{
     VmError,
 };
 
-use crate::bufs::{peek_u32, poke_u32, CtrlBlock, CTRL_SIZE};
+use crate::CtrlBlock;
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -71,12 +71,11 @@ impl NaiveCheckpoint {
         if let Some(c) = self.ctrl {
             return Ok(c);
         }
-        let base = m.runtime_area_base();
         let sram = m.mem.layout().sram;
         let globals = m.loaded().program.globals_size;
         // Buffer: regs (16) + used-stack length (4) + stack + globals.
         self.buf_bytes = 16 + 4 + sram.len() + globals;
-        self.buf_a = base.offset(CTRL_SIZE);
+        self.buf_a = CtrlBlock::end(m);
         self.buf_b = self.buf_a.offset(self.buf_bytes);
         let end = self.buf_b.offset(self.buf_bytes);
         if !m.mem.layout().fram.contains(Addr(end.raw() - 1)) {
@@ -84,8 +83,7 @@ impl NaiveCheckpoint {
                 "naive checkpoint buffers do not fit in FRAM".into(),
             ));
         }
-        let ctrl = CtrlBlock::new(base);
-        ctrl.init_if_needed(m)?;
+        let ctrl = CtrlBlock::attach(m)?;
         self.ctrl = Some(ctrl);
         Ok(ctrl)
     }
@@ -100,9 +98,9 @@ impl NaiveCheckpoint {
         let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
         let words = m.regs.to_words();
         for (i, w) in words.iter().enumerate() {
-            poke_u32(m, buf.offset(4 * i as u32), *w)?;
+            m.mem.poke_u32(buf.offset(4 * i as u32), *w)?;
         }
-        poke_u32(m, buf.offset(16), used)?;
+        m.mem.poke_u32(buf.offset(16), used)?;
         if used > 0 {
             self.copy_via_scratch(m, sram.start, buf.offset(20), used)?;
         }
@@ -188,9 +186,9 @@ impl IntermittentRuntime for NaiveCheckpoint {
         let buf = if flag == 1 { self.buf_a } else { self.buf_b };
         let mut words = [0u32; 4];
         for (i, w) in words.iter_mut().enumerate() {
-            *w = peek_u32(m, buf.offset(4 * i as u32))?;
+            *w = m.mem.peek_u32(buf.offset(4 * i as u32))?;
         }
-        let used = peek_u32(m, buf.offset(16))?;
+        let used = m.mem.peek_u32(buf.offset(16))?;
         let sram = m.mem.layout().sram;
         if used > 0 {
             self.copy_via_scratch(m, buf.offset(20), sram.start, used)?;

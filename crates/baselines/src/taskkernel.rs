@@ -1,19 +1,16 @@
 //! Task-based kernels: Alpaca, InK, and MayFly.
 
-use tics_mcu::{Addr, Registers};
+use tics_mcu::Addr;
 use tics_minic::isa::{CkptSite, VarId};
 use tics_minic::program::{Instrumentation, Program};
 use tics_trace::{CkptCause, SpanKind, TraceEvent};
+use tics_vm::nvstore::{decode_misc, verified_poke, BankChoice, NvStore, RecordBanks};
 use tics_vm::{
     CheckpointKind, IntermittentRuntime, Machine, PortingEffort, ResumeAction, RuntimeCapabilities,
     TxDriver, VmError,
 };
 
-use crate::bufs::{
-    bank_payload_into, bank_seq, build_delta_payload, dirty_words, journal_capacity, peek_u32,
-    poke_u32, replay_chain, select_bank, stage_bank, verified_poke, BankChoice, CtrlBlock,
-    DeltaJournal, BANK_HEADER, CTRL_SIZE,
-};
+use crate::{place_store, CtrlBlock};
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -91,11 +88,10 @@ pub struct TaskKernel {
     undo_capacity: u32,
     undo_count: u32,
     ctrl: Option<CtrlBlock>,
-    buf_a: Addr,
-    buf_b: Addr,
+    banks: RecordBanks,
     ts_base: Addr,
     undo_base: Addr,
-    journal: DeltaJournal,
+    pub(crate) store: NvStore,
     tx: TxDriver,
 }
 
@@ -115,11 +111,10 @@ impl TaskKernel {
             undo_capacity,
             undo_count: 0,
             ctrl: None,
-            buf_a: Addr(0),
-            buf_b: Addr(0),
+            banks: RecordBanks::default(),
             ts_base: Addr(0),
             undo_base: Addr(0),
-            journal: DeltaJournal::default(),
+            store: NvStore::default(),
             tx: TxDriver::default(),
         }
     }
@@ -134,15 +129,8 @@ impl TaskKernel {
         if let Some(c) = self.ctrl {
             return Ok(c);
         }
-        let base = m.runtime_area_base();
-        let sram = m.mem.layout().sram;
-        let buf_bytes = BANK_HEADER + 16 + 4 + sram.len();
-        self.buf_a = base.offset(CTRL_SIZE);
-        self.buf_b = self.buf_a.offset(buf_bytes);
-        let journal_bytes = journal_capacity(buf_bytes);
-        self.journal
-            .place(self.buf_b.offset(buf_bytes), journal_bytes);
-        self.ts_base = self.buf_b.offset(buf_bytes + journal_bytes);
+        let max_payload = 16 + 4 + m.mem.layout().sram.len();
+        self.ts_base = place_store(m, max_payload, &mut self.banks, &mut self.store);
         self.undo_base = self
             .ts_base
             .offset(8 * m.loaded().program.annotated.len() as u32);
@@ -152,8 +140,7 @@ impl TaskKernel {
                 "task kernel buffers do not fit in FRAM".into(),
             ));
         }
-        let ctrl = CtrlBlock::new(base);
-        ctrl.init_if_needed(m)?;
+        let ctrl = CtrlBlock::attach(m)?;
         self.ctrl = Some(ctrl);
         Ok(ctrl)
     }
@@ -166,88 +153,35 @@ impl TaskKernel {
         let m = &mut *span;
         let sram = m.mem.layout().sram;
         let used = m.regs.sp.raw().saturating_sub(sram.start.raw());
-        let max_payload = 16 + 4 + sram.len();
-        if self.journal.is_cold() {
-            self.journal
-                .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
-        }
-        let mut misc = [0u8; 20];
-        for (i, w) in m.regs.to_words().iter().enumerate() {
-            misc[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-        }
-        misc[16..20].copy_from_slice(&used.to_le_bytes());
-        // The dispatcher checkpoint covers the whole SRAM window (a
-        // fixed superset of the live `[0, used)` prefix, so every chain
-        // record shares the bank's region).
-        let region = [(sram.start, sram.len())];
-        let full_bytes = 20 + used;
-        let delta_payload = 4 + 20 + 8 * dirty_words(m, &region);
-        if self.journal.can_delta(BANK_HEADER + delta_payload, full_bytes)
-            && 4 * delta_payload < 3 * full_bytes
-        {
-            let seq = self.journal.take_seq();
-            build_delta_payload(m, &misc, &region, &mut self.journal.scratch);
-            let staged = stage_bank(m, self.journal.record_addr(), seq, &self.journal.scratch)?;
-            let plen = self.journal.scratch.len() as u32;
-            let costs = m.mem.costs();
-            let cost = costs.ckpt_base
-                + costs.ckpt_seg_fixed
-                + costs.ckpt_seg_per_byte * u64::from(plen);
-            if !m.charge_atomic(cost) {
-                return Ok(());
-            }
-            if !staged {
-                // Corruption defeated staging: skip this boundary
-                // commit. The chain tip is untouched and the undo log
-                // keeps privatizing, so a reboot rolls back to the
-                // still-valid previous checkpoint.
-                return Ok(());
-            }
-            ctrl.set_delta_tip(m, seq)?;
-            self.journal.committed_delta(BANK_HEADER + plen);
-            m.mem.clear_dirty(sram.start, sram.len());
-            self.undo_count = 0;
-            ctrl.set_scratch(m, 0)?;
-            m.emit(TraceEvent::CheckpointCommit {
-                cause: CkptCause::Site,
-                bytes: u64::from(plen),
-            });
-            return Ok(());
-        }
-        let target = if ctrl.flag(m)? == 1 { 2 } else { 1 };
-        let buf = if target == 1 { self.buf_a } else { self.buf_b };
-        let seq = self.journal.take_seq();
-        self.journal.scratch.clear();
-        self.journal.scratch.extend_from_slice(&misc);
-        if used > 0 {
-            self.journal
-                .scratch
-                .extend_from_slice(m.mem.peek_slice(sram.start, used)?);
-        }
-        let staged = stage_bank(m, buf, seq, &self.journal.scratch)?;
+        // Deltas cover the whole SRAM window (a fixed superset of the
+        // live `[0, used)` prefix, so every chain record shares the
+        // bank's region).
+        let staged = self.banks.stage(
+            m,
+            &mut self.store,
+            true,
+            used,
+            &[(sram.start, sram.len())],
+            &[(sram.start, used)],
+        )?;
         let costs = m.mem.costs();
         let cost = costs.ckpt_base
             + costs.ckpt_seg_fixed
-            + costs.ckpt_seg_per_byte * u64::from(full_bytes);
-        if !m.charge_atomic(cost) {
+            + costs.ckpt_seg_per_byte * u64::from(staged.len);
+        // Died mid-commit, or corruption defeated staging: skip this
+        // boundary commit. The undo log keeps privatizing past the
+        // boundary, so a reboot rolls back to the still-valid previous
+        // checkpoint.
+        if !m.charge_atomic(cost) || !staged.ok {
             return Ok(());
         }
-        if !staged {
-            // Corruption defeated staging: skip this boundary commit.
-            // The undo log keeps privatizing past the boundary, so a
-            // reboot rolls back to the still-valid previous checkpoint.
-            return Ok(());
-        }
-        ctrl.set_flag(m, target)?;
-        ctrl.set_delta_base(m, seq)?;
-        ctrl.set_delta_tip(m, 0)?;
-        self.journal.committed_full();
+        self.store.publish(m, staged)?;
         m.mem.clear_dirty(sram.start, sram.len());
         self.undo_count = 0;
         ctrl.set_scratch(m, 0)?;
         m.emit(TraceEvent::CheckpointCommit {
             cause: CkptCause::Site,
-            bytes: u64::from(full_bytes),
+            bytes: u64::from(staged.len),
         });
         Ok(())
     }
@@ -261,9 +195,9 @@ impl TaskKernel {
         while i > 0 {
             i -= 1;
             let slot = self.undo_base.offset(8 * i);
-            let addr = Addr(peek_u32(m, slot)?);
-            let old = peek_u32(m, slot.offset(4))?;
-            poke_u32(m, addr, old)?;
+            let addr = Addr(m.mem.peek_u32(slot)?);
+            let old = m.mem.peek_u32(slot.offset(4))?;
+            m.mem.poke_u32(addr, old)?;
             m.mem.add_cycles(m.mem.costs().rollback_cost(4));
             m.emit(TraceEvent::Rollback { bytes: 4 });
         }
@@ -323,115 +257,48 @@ impl IntermittentRuntime for TaskKernel {
     fn recycle(&mut self) {
         self.undo_count = 0;
         self.ctrl = None;
-        self.buf_a = Addr(0);
-        self.buf_b = Addr(0);
+        self.banks = RecordBanks::default();
         self.ts_base = Addr(0);
         self.undo_base = Addr(0);
-        self.journal.recycle();
+        self.store.recycle();
         self.tx.recycle();
     }
 
     fn on_boot(&mut self, m: &mut Machine) -> Result<ResumeAction> {
-        let ctrl = self.attach(m)?;
+        self.attach(m)?;
         // Writes of the interrupted task are rolled back: the task
         // restarts idempotently from its boundary.
         self.rollback_all(m)?;
-        let sram = m.mem.layout().sram;
-        let max_payload = 16 + 4 + sram.len();
-        let buf = match select_bank(m, ctrl, self.buf_a, self.buf_b, max_payload)? {
-            BankChoice::None => {
-                self.journal
-                    .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
+        let seq = match self.banks.select(m, &mut self.store)? {
+            BankChoice::Bank { seq, .. } => seq,
+            choice => {
                 return Ok(ResumeAction::Restart {
-                    reinit_globals: false,
-                });
+                    reinit_globals: choice == BankChoice::FreshStart,
+                })
             }
-            BankChoice::FreshStart => {
-                self.journal
-                    .prime_cold(m, ctrl, self.buf_a, self.buf_b, max_payload)?;
-                return Ok(ResumeAction::Restart {
-                    reinit_globals: true,
-                });
-            }
-            BankChoice::Bank(buf) => buf,
         };
         // Full-image restore first, then the delta chain (if one
         // extends this bank generation).
-        bank_payload_into(m, buf, &mut self.journal.scratch)?;
-        let mut words = [0u32; 4];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(
-                self.journal.scratch[4 * i..4 * i + 4]
-                    .try_into()
-                    .expect("reg word"),
-            );
-        }
-        let used = u32::from_le_bytes(
-            self.journal.scratch[16..20]
-                .try_into()
-                .expect("used len"),
-        );
-        if used > 0
-            && !verified_poke(m, sram.start, &self.journal.scratch[20..(20 + used) as usize])?
+        let (regs, used) = decode_misc(&self.store.scratch);
+        let sram = m.mem.layout().sram;
+        if used > 0 && !verified_poke(m, sram.start, &self.store.scratch[20..(20 + used) as usize])?
         {
             return Err(VmError::Trap(format!(
                 "{}: stack restore failed read-back verification",
                 self.flavor.name()
             )));
         }
-        let base_seq = bank_seq(m, buf)?;
-        let chain_base = ctrl.delta_base(m)?;
-        let tip = ctrl.delta_tip(m)?;
-        let region = [(sram.start, sram.len())];
-        let mut replayed = 0u64;
-        if chain_base == base_seq && tip > base_seq {
-            let end = replay_chain(
-                m,
-                self.journal.base,
-                self.journal.capacity,
-                base_seq,
-                tip,
-                &region,
-                &mut self.journal.misc,
-            )?;
-            if end.last_seq > base_seq {
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = u32::from_le_bytes(
-                        self.journal.misc[4 * i..4 * i + 4]
-                            .try_into()
-                            .expect("reg word"),
-                    );
-                }
-            }
-            replayed = u64::from(end.bytes);
-            if end.broken {
-                m.emit(TraceEvent::Recovery {
-                    invalid_banks: 1,
-                    fresh_start: false,
-                });
-                self.journal
-                    .prime(tip.max(end.last_seq) + 1, end.next_off, false);
-            } else {
-                self.journal.prime(end.last_seq + 1, end.next_off, true);
-            }
-        } else if chain_base == base_seq {
-            self.journal.prime(base_seq.max(tip) + 1, 0, true);
-        } else {
-            self.journal
-                .prime(base_seq.max(chain_base).max(tip) + 1, 0, false);
-        }
-        m.regs = Registers::from_words(words);
+        let replayed = self.store.replay(m, seq, &[(sram.start, sram.len())])?;
+        m.regs = replayed.prefix.map_or(regs, |p| decode_misc(&p[4..]).0);
         m.mem.clear_dirty(sram.start, sram.len());
+        let bytes = u64::from(20 + used) + u64::from(replayed.bytes);
         let mut span = m.span(SpanKind::Restore);
         let m = &mut *span;
         let costs = m.mem.costs();
-        let cost = costs.restore_base
-            + costs.restore_seg_fixed
-            + costs.restore_seg_per_byte * (u64::from(20 + used) + replayed);
+        let cost =
+            costs.restore_base + costs.restore_seg_fixed + costs.restore_seg_per_byte * bytes;
         let _ = m.charge_atomic(cost);
-        m.emit(TraceEvent::Restore {
-            bytes: u64::from(20 + used) + replayed,
-        });
+        m.emit(TraceEvent::Restore { bytes });
         Ok(ResumeAction::Restored)
     }
 
@@ -481,10 +348,10 @@ impl IntermittentRuntime for TaskKernel {
         }
         let mut span = m.span(SpanKind::UndoLog);
         let m = &mut *span;
-        let old = peek_u32(m, addr)?;
+        let old = m.mem.peek_u32(addr)?;
         let slot = self.undo_base.offset(8 * self.undo_count);
-        poke_u32(m, slot, addr.raw())?;
-        poke_u32(m, slot.offset(4), old)?;
+        m.mem.poke_u32(slot, addr.raw())?;
+        m.mem.poke_u32(slot.offset(4), old)?;
         self.undo_count += 1;
         ctrl.set_scratch(m, self.undo_count)?;
         m.mem.add_cycles(m.mem.costs().undo_log_cost(len));
@@ -720,7 +587,7 @@ mod tests {
     }
 
     fn clobber(m: &mut Machine, buf: Addr) {
-        let a = buf.offset(BANK_HEADER + 2);
+        let a = buf.offset(tics_vm::nvstore::RECORD_HEADER + 2);
         let b = m.mem.peek_bytes(a, 1).unwrap()[0];
         m.mem.poke_bytes(a, &[b ^ 0x10]).unwrap();
     }
@@ -740,9 +607,9 @@ mod tests {
         let flag = ctrl.flag(&m).unwrap();
         assert!(flag == 1 || flag == 2, "a boundary must have committed");
         let (active, other) = if flag == 1 {
-            (rt.buf_a, rt.buf_b)
+            (rt.banks.a, rt.banks.b)
         } else {
-            (rt.buf_b, rt.buf_a)
+            (rt.banks.b, rt.banks.a)
         };
         clobber(&mut m, active);
         let action = rt.on_boot(&mut m).unwrap();

@@ -231,6 +231,7 @@ fn main() {
             other => Err(format!("unknown ablation {other}")),
         }
     });
+    println!("{}", outcome.summary);
 
     let rows_of = |name: &'static str| {
         outcome

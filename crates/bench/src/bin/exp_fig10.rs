@@ -48,6 +48,7 @@ fn main() {
         .with("accuracy_pct", o.accuracy * 100.0)
         .with("mean_time", o.mean_time))
     });
+    println!("{}", outcome.summary);
 
     println!(
         "{:<12} {:<5} {:>5} {:>5} {:>5} {:>5} {:>7} {:>9} {:>9}",

@@ -350,6 +350,7 @@ fn main() {
             run_system(cell)
         }
     });
+    println!("{}", outcome.summary);
 
     let mut points = Vec::new();
     if want("left") {

@@ -2,7 +2,7 @@
 //! matrix.
 //!
 //! Simulates a large population of independent AR devices (default
-//! ~100 000, `--devices 1000000` for the million-device run) for every
+//! ~100 000, `--devices 999999` for the million-device run) for every
 //! system that can host the app, each device with its own
 //! splitmix64-derived supply fate, on stochastic duty-cycled power with
 //! a drifting capacitor-backed RTC. Devices are folded into
@@ -22,17 +22,19 @@
 //!
 //! Flags beyond the standard sweep set:
 //!
-//! - `--devices N` — total fleet size, split evenly across feasible
-//!   systems (default 100 000).
+//! - `--devices N` — total fleet size, split evenly across the feasible
+//!   systems; an N that does not split evenly is rejected (default: the
+//!   largest multiple of the system count up to 100 000).
 //! - `--check` — compare per-system device and instruction totals
 //!   against the committed `BENCH_fleet.json`. Instruction counts are
 //!   simulated (host-independent) and engine-invariant, so equality is
-//!   exact; a mismatch means device behavior changed.
+//!   exact; a mismatch means device behavior changed. Without
+//!   `--devices`, the run reuses the arguments the baseline records.
 //! - `--out PATH` — baseline path (default `BENCH_fleet.json`).
 //! - `--no-write` — run and report without touching the baseline.
 //!
-//! To refresh the committed baseline (CI checks at 2000 devices):
-//! `cargo run --release -p tics-bench --bin exp_fleet -- --devices 2000`
+//! To refresh the committed baseline (1400 devices, the size CI checks):
+//! `cargo run --release -p tics-bench --bin exp_fleet -- --devices 1400`
 //! and commit the rewritten `BENCH_fleet.json`.
 
 use std::process::ExitCode;
@@ -88,7 +90,7 @@ fn system_fleet_seed(canonical_index: usize) -> u64 {
 }
 
 struct Flags {
-    devices: u64,
+    devices: Option<u64>,
     check: bool,
     no_write: bool,
     out_path: String,
@@ -96,7 +98,7 @@ struct Flags {
 
 fn parse_flags(rest: &[String]) -> Flags {
     let mut flags = Flags {
-        devices: DEFAULT_DEVICES,
+        devices: None,
         check: false,
         no_write: false,
         out_path: "BENCH_fleet.json".to_string(),
@@ -105,12 +107,12 @@ fn parse_flags(rest: &[String]) -> Flags {
     while let Some(arg) = it.next() {
         if arg == "--devices" {
             match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => flags.devices = n,
+                Some(n) if n >= 1 => flags.devices = Some(n),
                 _ => eprintln!("warning: --devices needs a positive integer"),
             }
         } else if let Some(v) = arg.strip_prefix("--devices=") {
             match v.parse::<u64>() {
-                Ok(n) if n >= 1 => flags.devices = n,
+                Ok(n) if n >= 1 => flags.devices = Some(n),
                 _ => eprintln!("warning: --devices needs a positive integer"),
             }
         } else if arg == "--check" {
@@ -172,7 +174,41 @@ fn main() -> ExitCode {
         eprintln!("no system can host {}", FLEET_APP.name());
         return ExitCode::FAILURE;
     }
-    let per_system = (flags.devices / feasible.len() as u64).max(1);
+    let systems = feasible.len() as u64;
+
+    // --check reads the baseline up front: without --devices, the run
+    // reuses the arguments that generated it.
+    let baseline = if flags.check {
+        match std::fs::read_to_string(&flags.out_path)
+            .map_err(|e| format!("cannot read baseline {}: {e}", flags.out_path))
+            .and_then(|text| {
+                Json::parse(&text)
+                    .map_err(|e| format!("cannot parse baseline {}: {e:?}", flags.out_path))
+            }) {
+            Ok(json) => Some(json),
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    } else {
+        None
+    };
+    let recorded = baseline
+        .as_ref()
+        .and_then(|b| b.get("args")?.get("devices")?.as_u64());
+    let total_devices = match flags.devices.or(recorded) {
+        Some(n) if n % systems != 0 => {
+            eprintln!(
+                "error: --devices {n} does not split evenly over the {systems} feasible \
+                 systems; use a multiple of {systems}"
+            );
+            return ExitCode::from(2);
+        }
+        Some(n) => n,
+        None => DEFAULT_DEVICES / systems * systems,
+    };
+    let per_system = total_devices / systems;
 
     // One cell per (system, shard). The shard carries its device range
     // in params; everything else is deterministic cell coordinates.
@@ -198,7 +234,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let total_devices = per_system * feasible.len() as u64;
     println!(
         "fleet: {} devices/system x {} systems = {} devices, {} shards",
         per_system,
@@ -321,20 +356,8 @@ fn main() -> ExitCode {
     tics_bench::write_json("fleet", &json);
 
     let mut regressions = 0u32;
-    if flags.check {
-        match std::fs::read_to_string(&flags.out_path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(baseline) => regressions = check_against(&baseline, &fleets),
-                Err(e) => {
-                    eprintln!("cannot parse baseline {}: {e:?}", flags.out_path);
-                    regressions = 1;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", flags.out_path);
-                regressions = 1;
-            }
-        }
+    if let Some(baseline) = &baseline {
+        regressions = check_against(baseline, &fleets);
     } else if !flags.no_write {
         if let Err(e) = std::fs::write(&flags.out_path, json.to_pretty()) {
             eprintln!("cannot write {}: {e}", flags.out_path);
@@ -368,6 +391,7 @@ fn fleet_json(
         .field("scale", u64::from(FLEET_SCALE))
         .field("clock", FLEET_CLOCK.label())
         .field("supply", FLEET_SUPPLY.label())
+        .field("args", Json::obj().field("devices", total_devices).build())
         .field("total_devices", total_devices)
         .field("devices_per_sec", devices_per_sec)
         .field(

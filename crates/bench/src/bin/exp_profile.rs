@@ -518,6 +518,7 @@ fn main() -> ExitCode {
             default_runner(cell)
         }
     });
+    println!("{}", outcome.summary);
 
     let mut failures = 0usize;
 

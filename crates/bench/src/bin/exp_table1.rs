@@ -141,6 +141,7 @@ fn main() {
         }
     }
     let outcome = sweep.run_with(run_cell);
+    println!("{}", outcome.summary);
 
     println!(
         "{:>5}  {:<16} {:>8} {:>8} {:>8} {:>8}  consistent",

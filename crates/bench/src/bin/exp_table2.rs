@@ -149,6 +149,7 @@ fn main() {
         sweep = sweep.cell(c);
     }
     let outcome = sweep.run_with(run_variant);
+    println!("{}", outcome.summary);
 
     println!(
         "{:<22} {:>10} {:>10} | {:>8} {:>8} {:>8}",

@@ -71,6 +71,7 @@ fn main() {
         }
     }
     let outcome = sweep.run_with(build_cell);
+    println!("{}", outcome.summary);
 
     println!(
         "{:<4} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10}",

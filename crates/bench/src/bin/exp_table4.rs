@@ -232,6 +232,7 @@ fn main() {
         }
         Ok(out)
     });
+    println!("{}", outcome.summary);
 
     println!(
         "{:<28} {:<16} {:>8} {:>8} {:>9}",

@@ -54,6 +54,7 @@ fn main() {
         .with("memory_consistency", c.memory_consistency)
         .with("porting_effort", c.porting_effort.to_string()))
     });
+    println!("{}", outcome.summary);
 
     println!(
         "{:<16} {:>8} {:>10} {:>9} {:>7} {:>11} {:>9}",

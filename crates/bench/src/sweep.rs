@@ -18,7 +18,8 @@
 //!   `results/<exp>.jsonl` (override with `--journal`), written in cell
 //!   order,
 //! * **a summary** — cells run / failed / panicked, simulated cycles,
-//!   wall-time, and the estimated speedup over a single-threaded run.
+//!   wall-time, and the estimated speedup over a single-threaded run
+//!   (returned, not printed: each experiment binary prints it once).
 //!
 //! Thread count comes from `--threads N`, the `TICS_BENCH_THREADS`
 //! environment variable, or the machine's available parallelism, in
@@ -565,7 +566,6 @@ pub struct Sweep {
     cells: Vec<Cell>,
     sweep_seed: u64,
     args: SweepArgs,
-    quiet: bool,
 }
 
 impl Sweep {
@@ -578,7 +578,6 @@ impl Sweep {
             cells: Vec::new(),
             sweep_seed: 0x71C5,
             args: SweepArgs::default(),
-            quiet: false,
         }
     }
 
@@ -593,13 +592,6 @@ impl Sweep {
     #[must_use]
     pub fn args(mut self, args: SweepArgs) -> Sweep {
         self.args = args;
-        self
-    }
-
-    /// Suppresses the summary print (for tests).
-    #[must_use]
-    pub fn quiet(mut self) -> Sweep {
-        self.quiet = true;
         self
     }
 
@@ -825,9 +817,6 @@ impl Sweep {
             threads,
             journal,
         };
-        if !self.quiet {
-            println!("{summary}");
-        }
         SweepOutcome { rows, summary }
     }
 }

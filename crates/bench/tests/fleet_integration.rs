@@ -163,14 +163,14 @@ fn fleet_sweeps_resume_from_shard_rows() {
         })
     };
 
-    let mut sweep = Sweep::new("fleet").args(args(false)).quiet();
+    let mut sweep = Sweep::new("fleet").args(args(false));
     for cell in cells() {
         sweep = sweep.cell(cell);
     }
     let first_run = sweep.run_with(runner);
     assert_eq!(first_run.summary.ok, 2);
 
-    let mut resumed = Sweep::new("fleet").args(args(true)).quiet();
+    let mut resumed = Sweep::new("fleet").args(args(true));
     for cell in cells() {
         resumed = resumed.cell(cell);
     }
@@ -186,6 +186,57 @@ fn fleet_sweeps_resume_from_shard_rows() {
         let b = ShardStats::from_extra(&second_row.extra).expect("parses");
         assert_eq!(a, b);
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The CI fleet gate, run exactly as CI runs it (`exp_fleet --threads 2
+/// --check`, no `--devices`) against the committed `BENCH_fleet.json`:
+/// the run must reuse the baseline's recorded arguments and match it
+/// exactly. A `--devices` that does not split evenly over the systems
+/// is rejected before anything runs.
+#[test]
+fn ci_fleet_gate_passes_against_the_committed_baseline() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
+    let dir = std::env::temp_dir().join(format!("tics-fleet-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let exp_fleet = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_exp_fleet"))
+            .current_dir(&dir)
+            .args([
+                "--threads",
+                "2",
+                "--check",
+                "--out",
+                baseline,
+                "--journal",
+                "fleet.jsonl",
+            ])
+            .args(extra)
+            .output()
+            .expect("exp_fleet runs")
+    };
+
+    let gate = exp_fleet(&[]);
+    let stdout = String::from_utf8_lossy(&gate.stdout);
+    assert!(
+        gate.status.success(),
+        "fleet gate failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&gate.stderr)
+    );
+    assert!(
+        stdout.contains("= 1400 devices"),
+        "baseline arguments not reused:\n{stdout}"
+    );
+    assert_eq!(
+        stdout.matches("sweep fleet:").count(),
+        1,
+        "summary printed once"
+    );
+
+    let uneven = exp_fleet(&["--devices", "2000"]);
+    assert_eq!(uneven.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&uneven.stderr).contains("does not split evenly"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -57,7 +57,6 @@ fn twelve_cell_sweep(exp: &str) -> Sweep {
             ],
             &[6],
         )
-        .quiet()
 }
 
 /// Multi-threaded execution yields byte-identical journal rows to a
@@ -106,7 +105,7 @@ fn cell_seeds_follow_sweep_seed() {
 #[test]
 fn panicking_cell_is_isolated() {
     let j = TempJournal::new("panic");
-    let mut sweep = Sweep::new("panic").args(args(3, &j)).quiet();
+    let mut sweep = Sweep::new("panic").args(args(3, &j));
     for i in 0..6i64 {
         sweep = sweep.cell(Cell::new(App::Bc, SystemUnderTest::Tics).param("i", i));
     }
@@ -142,7 +141,7 @@ fn panicking_cell_is_isolated() {
 #[test]
 fn failing_cell_is_isolated() {
     let j = TempJournal::new("fail");
-    let mut sweep = Sweep::new("fail").args(args(2, &j)).quiet();
+    let mut sweep = Sweep::new("fail").args(args(2, &j));
     for i in 0..4i64 {
         sweep = sweep.cell(Cell::new(App::Ar, SystemUnderTest::Tics).param("i", i));
     }
@@ -164,7 +163,7 @@ fn failing_cell_is_isolated() {
 #[test]
 fn journal_round_trips_through_disk() {
     let j = TempJournal::new("rt");
-    let mut sweep = Sweep::new("rt").args(args(2, &j)).quiet();
+    let mut sweep = Sweep::new("rt").args(args(2, &j));
     for i in 0..5i64 {
         sweep = sweep.cell(
             Cell::new(App::Cuckoo, SystemUnderTest::Tics)
@@ -201,8 +200,7 @@ fn watchdog_journals_runaway_cells_as_timeout() {
         .args(SweepArgs {
             cell_timeout_ms: Some(100),
             ..args(2, &j)
-        })
-        .quiet();
+        });
     for i in 0..5i64 {
         sweep = sweep.cell(Cell::new(App::Bc, SystemUnderTest::Tics).param("i", i));
     }
@@ -279,7 +277,7 @@ fn resume_retries_timeout_rows_instead_of_reusing_them() {
 
     let j = TempJournal::new("resume-timeout");
     let build = |a: SweepArgs| {
-        let mut sweep = Sweep::new("resume-timeout").args(a).quiet();
+        let mut sweep = Sweep::new("resume-timeout").args(a);
         for i in 0..5i64 {
             sweep = sweep.cell(Cell::new(App::Bc, SystemUnderTest::Tics).param("i", i));
         }
@@ -348,7 +346,7 @@ fn resume_rejects_rows_from_a_different_sweep() {
 #[test]
 fn summary_accounts_for_all_cells() {
     let j = TempJournal::new("sum");
-    let mut sweep = Sweep::new("sum").args(args(4, &j)).quiet();
+    let mut sweep = Sweep::new("sum").args(args(4, &j));
     for i in 0..8i64 {
         sweep = sweep.cell(Cell::new(App::Bc, SystemUnderTest::Tics).param("i", i));
     }

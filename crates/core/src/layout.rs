@@ -2,6 +2,7 @@
 
 use tics_mcu::{Addr, Region};
 use tics_minic::program::Program;
+use tics_vm::nvstore::journal_capacity;
 
 use crate::config::TicsConfig;
 
@@ -101,11 +102,9 @@ impl RuntimeLayout {
         let control = base;
         let ckpt_a = control.offset(ctrl::SIZE);
         let ckpt_b = ckpt_a.offset(ckpt_buf_bytes);
-        // The delta journal sits right after the banks: roomy enough for
-        // many incremental records between full images, bounded so
-        // boot-time chain replay stays O(image).
+        // The delta journal sits right after the banks.
         let journal = ckpt_b.offset(ckpt_buf_bytes);
-        let journal_capacity = (2 * ckpt_buf_bytes).clamp(1_024, 8_192);
+        let journal_capacity = journal_capacity(ckpt_buf_bytes);
         let timestamps = journal.offset(journal_capacity);
         let undo = timestamps.offset(8 * program.annotated.len() as u32);
         let io_capacity = if config.virtualize_io { 32 } else { 0 };

@@ -916,6 +916,16 @@ impl Memory {
         Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Debugger-style `u32` read: no cycles, no statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
+    pub fn peek_u32(&self, addr: Addr) -> Result<u32, MemoryError> {
+        let b = self.slice(addr, 4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
     /// Debugger-style `u64` read: no cycles, no statistics.
     ///
     /// # Errors
@@ -964,6 +974,24 @@ impl Memory {
     ///
     /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
     pub fn poke_i32(&mut self, addr: Addr, v: i32) -> Result<(), MemoryError> {
+        self.poke_bytes(addr, &v.to_le_bytes())
+    }
+
+    /// Debugger-style `u32` write: no cycles, no statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
+    pub fn poke_u32(&mut self, addr: Addr, v: u32) -> Result<(), MemoryError> {
+        self.poke_bytes(addr, &v.to_le_bytes())
+    }
+
+    /// Debugger-style `u64` write: no cycles, no statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::Unmapped`] if any byte is not mapped.
+    pub fn poke_u64(&mut self, addr: Addr, v: u64) -> Result<(), MemoryError> {
         self.poke_bytes(addr, &v.to_le_bytes())
     }
 

@@ -41,6 +41,7 @@ use tics_trace::{SpanKind, TraceEvent};
 
 use crate::error::VmError;
 use crate::machine::Machine;
+use crate::nvstore::verified_poke;
 use crate::Result;
 
 /// Journal capacity: concurrent live descriptors (one in flight plus
@@ -65,11 +66,6 @@ const SLOT_ID: u32 = 0;
 const SLOT_ATTEMPTS: u32 = 4;
 const SLOT_CRC: u32 = 8;
 const SLOT_STATE: u32 = 12;
-
-/// Read-back retries for staged descriptor writes before trapping: the
-/// corruption model flips bits in multi-word bursts, so every staged
-/// write is verified like a checkpoint bank.
-const VERIFY_ATTEMPTS: usize = 16;
 
 /// Flat cycle cost of scanning the journal (`tx_begin` / reconcile).
 const JOURNAL_SCAN_CYCLES: u64 = 48;
@@ -224,21 +220,18 @@ impl TxDriver {
     }
 
     /// Stages a descriptor (id, attempts, CRC) into slot `idx` with
-    /// read-back verification; the state word is untouched. Traps if the
+    /// read-back verification (the corruption model flips bits in
+    /// multi-word bursts); the state word is untouched. Traps if the
     /// corruption model defeats every attempt — the journal must never
     /// hold an unverified descriptor.
     fn write_descriptor(m: &mut Machine, idx: u32, id: u32, attempts: u32) -> Result<()> {
-        let a = Self::slot_addr(m, idx);
-        let mut bytes = Vec::with_capacity(12);
-        bytes.extend_from_slice(&id.to_le_bytes());
-        bytes.extend_from_slice(&attempts.to_le_bytes());
-        bytes.extend_from_slice(&Self::descriptor_crc(id, attempts).to_le_bytes());
-        for _ in 0..VERIFY_ATTEMPTS {
-            m.mem.poke_bytes(a, &bytes)?;
-            if m.mem.peek_slice(a, 12)? == bytes.as_slice() {
-                m.mem.add_cycles(12);
-                return Ok(());
-            }
+        let mut bytes = [0u8; 12];
+        bytes[0..4].copy_from_slice(&id.to_le_bytes());
+        bytes[4..8].copy_from_slice(&attempts.to_le_bytes());
+        bytes[8..12].copy_from_slice(&Self::descriptor_crc(id, attempts).to_le_bytes());
+        if verified_poke(m, Self::slot_addr(m, idx), &bytes)? {
+            m.mem.add_cycles(12);
+            return Ok(());
         }
         Err(VmError::Trap(format!(
             "tx journal descriptor write for id {id} failed read-back verification"
