@@ -19,12 +19,13 @@ use tics_apps::workload::ar_trace;
 use tics_apps::{ar, build_app, App, SystemUnderTest};
 use tics_bench::count_violations;
 use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::trial::Device;
 use tics_bench::Json;
-use tics_clock::RemanenceTimer;
+use tics_clock::{PerfectClock, RemanenceTimer};
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::{Capacitor, CapacitorSupply, ContinuousPower, PeriodicTrace, RfHarvester};
 use tics_minic::opt::OptLevel;
-use tics_vm::{Executor, Machine, MachineConfig, RunOutcome};
+use tics_vm::{Executor, MachineConfig, RunOutcome};
 
 fn tics_prog(app: App, scale: u32) -> Result<tics_minic::Program, String> {
     build_app(
@@ -36,30 +37,39 @@ fn tics_prog(app: App, scale: u32) -> Result<tics_minic::Program, String> {
     .map_err(|e| e.to_string())
 }
 
+/// A TICS device of `prog` under `cfg`, default machine configuration.
+fn tics_device(prog: tics_minic::Program, cfg: TicsConfig) -> Device {
+    let rt = Box::new(TicsRuntime::new(cfg));
+    Device::load(
+        prog,
+        &MachineConfig::default(),
+        rt,
+        Box::new(PerfectClock::new()),
+    )
+    .expect("loads")
+}
+
 fn run_segment_size(cell: &Cell) -> Result<CellOutput, String> {
     let prog = tics_prog(App::Bc, cell.scale)?;
     let s1 = prog.max_frame_size().next_multiple_of(64);
     let seg = s1 * u32::try_from(cell.param_i64("mult")).expect("mult");
-    let mut m = Machine::new(prog, MachineConfig::default()).expect("loads");
-    let mut rt = TicsRuntime::new(
-        TicsConfig::s2()
-            .with_seg_size(seg)
-            .with_segments((4096 / seg).max(4)),
-    );
-    let out = Executor::new()
-        .with_time_budget(cell.time_budget_us)
-        .run(&mut m, &mut rt, &mut ContinuousPower::new())
+    let cfg = TicsConfig::s2()
+        .with_seg_size(seg)
+        .with_segments((4096 / seg).max(4));
+    let mut device = tics_device(prog, cfg);
+    let out = device
+        .run(
+            &Executor::new().with_time_budget(cell.time_budget_us),
+            &mut ContinuousPower::new(),
+        )
         .map_err(|e| format!("{e:?}"))?;
     if out.exit_code().is_none() {
         return Err(format!("did not finish: {out:?}"));
     }
+    // Only the undo-capacity curve journals undo appends.
     Ok(CellOutput {
-        outcome: "finished".to_string(),
-        exit_code: out.exit_code(),
-        cycles: m.cycles(),
-        checkpoints: m.stats().checkpoints,
-        spans: m.mem.span_cycles_all(),
-        ..CellOutput::default()
+        undo_appends: 0,
+        ..device.counters(&Ok(out))
     }
     .with("x", seg))
 }
@@ -67,30 +77,22 @@ fn run_segment_size(cell: &Cell) -> Result<CellOutput, String> {
 fn run_undo_capacity(cell: &Cell) -> Result<CellOutput, String> {
     let prog = tics_prog(App::Cuckoo, cell.scale)?;
     let capacity = u32::try_from(cell.param_i64("capacity")).expect("capacity");
-    let mut m = Machine::new(prog.clone(), MachineConfig::default()).expect("loads");
     let mut cfg = TicsConfig {
         undo_capacity: capacity,
         ..TicsConfig::s2()
     };
     cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
-    let mut rt = TicsRuntime::new(cfg);
-    let out = Executor::new()
-        .with_time_budget(cell.time_budget_us)
-        .run(&mut m, &mut rt, &mut ContinuousPower::new())
+    let mut device = tics_device(prog, cfg);
+    let out = device
+        .run(
+            &Executor::new().with_time_budget(cell.time_budget_us),
+            &mut ContinuousPower::new(),
+        )
         .map_err(|e| format!("{e:?}"))?;
     if out.exit_code().is_none() {
         return Err(format!("did not finish: {out:?}"));
     }
-    Ok(CellOutput {
-        outcome: "finished".to_string(),
-        exit_code: out.exit_code(),
-        cycles: m.cycles(),
-        checkpoints: m.stats().checkpoints,
-        undo_appends: m.stats().undo_log_appends,
-        spans: m.mem.span_cycles_all(),
-        ..CellOutput::default()
-    }
-    .with("x", capacity))
+    Ok(device.counters(&Ok(out)).with("x", capacity))
 }
 
 fn run_checkpoint_policy(cell: &Cell) -> Result<CellOutput, String> {
@@ -98,16 +100,15 @@ fn run_checkpoint_policy(cell: &Cell) -> Result<CellOutput, String> {
     let seg = prog.max_frame_size().next_multiple_of(64).max(256);
     let timer = cell.param_value("timer_us").and_then(Json::as_u64);
     let voltage = cell.param_value("voltage_mv").and_then(Json::as_u64);
-    let mut m = Machine::new(prog, MachineConfig::default()).expect("loads");
-    let mut rt = TicsRuntime::new(TicsConfig::s2().with_seg_size(seg).with_timer(timer));
+    let mut device = tics_device(prog, TicsConfig::s2().with_seg_size(seg).with_timer(timer));
     let mut exec = Executor::new()
         .with_time_budget(cell.time_budget_us)
         .with_starvation_detection(4_000);
     if let Some(v) = voltage {
         exec = exec.with_voltage_warning(v);
     }
-    let out = exec
-        .run(&mut m, &mut rt, &mut PeriodicTrace::new(8_000, 1_000))
+    let out = device
+        .run(&exec, &mut PeriodicTrace::new(8_000, 1_000))
         .map_err(|e| format!("{e:?}"))?;
     let outcome = match out {
         RunOutcome::Finished(_) => "finished".to_string(),
@@ -116,13 +117,8 @@ fn run_checkpoint_policy(cell: &Cell) -> Result<CellOutput, String> {
     };
     Ok(CellOutput {
         outcome,
-        exit_code: out.exit_code(),
-        cycles: m.cycles(),
-        checkpoints: m.stats().checkpoints,
-        restores: m.stats().restores,
-        power_failures: m.stats().power_failures,
-        spans: m.mem.span_cycles_all(),
-        ..CellOutput::default()
+        undo_appends: 0,
+        ..device.counters(&Ok(out))
     })
 }
 
@@ -131,40 +127,38 @@ fn run_timekeeper_error(cell: &Cell) -> Result<CellOutput, String> {
     let error_pct = u32::try_from(cell.param_i64("error_pct")).expect("error");
     let (trace, _) = ar_trace(windows * 4, ar::WINDOW, 5, 1234);
     let prog = tics_prog(App::Ar, windows)?;
-    let mut m = Machine::with_clock(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: trace.into(),
-            ..MachineConfig::default()
-        },
-        Box::new(RemanenceTimer::new(
-            10_000_000_000,
-            f64::from(error_pct) / 100.0,
-            42,
-        )),
-    )
-    .expect("loads");
     let mut cfg = TicsConfig::s2_star();
     cfg.seg_size = cfg.seg_size.max(prog.max_frame_size().next_multiple_of(64));
-    let mut rt = TicsRuntime::new(cfg);
+    let config = MachineConfig {
+        sensor_trace: trace.into(),
+        ..MachineConfig::default()
+    };
+    let timer = RemanenceTimer::new(10_000_000_000, f64::from(error_pct) / 100.0, 42);
+    let mut device = Device::load(
+        prog,
+        &config,
+        Box::new(TicsRuntime::new(cfg)),
+        Box::new(timer),
+    )
+    .expect("loads");
     let mut supply = CapacitorSupply::new(
         RfHarvester::new(3.0, 2.0, 0.85, 42),
         Capacitor::new(10e-6, 3.3, 2.4, 1.8),
         3e-3,
     );
-    let _ = Executor::new()
-        .with_time_budget(cell.time_budget_us)
-        .run(&mut m, &mut rt, &mut supply)
+    let out = device
+        .run(
+            &Executor::new().with_time_budget(cell.time_budget_us),
+            &mut supply,
+        )
         .map_err(|e| format!("{e:?}"))?;
+    let m = &device.machine;
     let v = count_violations(m.trace().records(), true);
     Ok(CellOutput {
         outcome: "finished-or-window".to_string(),
-        cycles: m.cycles(),
-        checkpoints: m.stats().checkpoints,
-        restores: m.stats().restores,
-        power_failures: m.stats().power_failures,
-        spans: m.mem.span_cycles_all(),
-        ..CellOutput::default()
+        exit_code: None,
+        undo_appends: 0,
+        ..device.counters(&Ok(out))
     }
     .with("violations", v.total())
     .with("discards", m.stats().expired_data_discards))

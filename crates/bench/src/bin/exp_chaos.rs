@@ -21,9 +21,10 @@
 use tics_apps::build::make_runtime;
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::fault::{
-    build_fault_program, golden_run, run_chaos_cell, FaultProgram, CHAOS_WINDOW,
+    build_fault_program, golden_device, run_chaos_cell, FaultProgram, CHAOS_WINDOW,
 };
 use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::trial::Subject;
 use tics_bench::Json;
 
 fn main() {
@@ -92,23 +93,21 @@ fn main() {
                 .with("supported", false));
             }
         };
-        let golden = golden_run(&prog, cell.system)?;
+        let subject = Subject::load(&prog, cell.system).map_err(|e| e.to_string())?;
+        let (golden, _) = golden_device(&subject)?;
         let claims = make_runtime(cell.system, &prog)
             .capabilities()
             .memory_consistency;
-        let report = run_chaos_cell(&prog, cell.system, &golden, rate, trials, cell.seed);
+        let report = run_chaos_cell(&subject, &golden, rate, trials, cell.seed);
         let mut out = CellOutput {
             outcome: if report.corrupted_state > 0 {
                 format!("{} corrupted-state", report.corrupted_state)
             } else {
                 "detect-or-recover".to_string()
             },
-            cycles: report.total_cycles,
-            power_failures: report.failures_injected,
-            restores: report.recoveries,
             text_bytes: prog.text_bytes(),
             data_bytes: prog.data_bytes(),
-            ..CellOutput::default()
+            ..report.counters.clone()
         }
         .with("supported", true)
         .with("claims_consistency", claims)

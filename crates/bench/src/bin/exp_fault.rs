@@ -16,10 +16,11 @@
 use tics_apps::build::make_runtime;
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::fault::{
-    build_fault_program, cuts_string, fault_budget_us, golden_run, judge, parse_cuts, run_fault_cell,
-    run_plan, FaultProgram, Strategy, Verdict, GUARD_BOOTS, OFF_US,
+    build_fault_program, cuts_string, fault_budget_us, golden_device, golden_run, judge,
+    parse_cuts, run_fault_cell, run_plan, FaultProgram, Strategy, Verdict, GUARD_BOOTS, OFF_US,
 };
 use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::trial::Subject;
 use tics_bench::Json;
 use tics_energy::FaultPlan;
 
@@ -91,7 +92,8 @@ fn main() {
                 .with("supported", false));
             }
         };
-        let golden = golden_run(&prog, cell.system)?;
+        let subject = Subject::load(&prog, cell.system).map_err(|e| e.to_string())?;
+        let (golden, _) = golden_device(&subject)?;
         let trials = match strategy {
             Strategy::Stride => stride_trials,
             Strategy::Random => random_trials,
@@ -100,18 +102,16 @@ fn main() {
         let claims = make_runtime(cell.system, &prog)
             .capabilities()
             .memory_consistency;
-        let report = run_fault_cell(&prog, cell.system, &golden, strategy, trials, cell.seed);
+        let report = run_fault_cell(&subject, &golden, strategy, trials, cell.seed);
         let mut out = CellOutput {
             outcome: if report.violations > 0 {
                 format!("{} violations", report.violations)
             } else {
                 "consistent".to_string()
             },
-            cycles: report.total_cycles,
-            power_failures: report.failures_injected,
             text_bytes: prog.text_bytes(),
             data_bytes: prog.data_bytes(),
-            ..CellOutput::default()
+            ..report.counters.clone()
         }
         .with("supported", true)
         .with("claims_consistency", claims)

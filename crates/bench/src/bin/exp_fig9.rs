@@ -20,12 +20,14 @@ use tics_apps::workload::ar_trace;
 use tics_apps::{ar, build_app, App, SystemUnderTest};
 use tics_bench::journal::{CellStatus, JournalRow};
 use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::trial::Device;
 use tics_bench::Json;
+use tics_clock::PerfectClock;
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::ContinuousPower;
 use tics_minic::opt::OptLevel;
 use tics_minic::passes;
-use tics_vm::{Executor, Machine, MachineConfig};
+use tics_vm::{Executor, IntermittentRuntime, MachineConfig};
 
 const SCALE: u32 = 30;
 const BUDGET: u64 = 60_000_000_000;
@@ -40,34 +42,24 @@ fn sensor_trace_for(app: App) -> Vec<i32> {
 /// Runs a built program + runtime pair to completion on continuous power.
 fn run(
     prog: tics_minic::Program,
-    rt: &mut dyn tics_vm::IntermittentRuntime,
+    rt: Box<dyn IntermittentRuntime>,
     app: App,
 ) -> Result<CellOutput, String> {
-    let mut m = Machine::new(
-        prog,
-        MachineConfig {
-            sensor_trace: sensor_trace_for(app).into(),
-            ..MachineConfig::default()
-        },
-    )
-    .expect("loads");
-    let out = Executor::new()
-        .with_time_budget(BUDGET)
-        .run(&mut m, rt, &mut ContinuousPower::new())
+    let config = MachineConfig {
+        sensor_trace: sensor_trace_for(app).into(),
+        ..MachineConfig::default()
+    };
+    let mut device = Device::load(prog, &config, rt, Box::new(PerfectClock::new())).expect("loads");
+    let out = device
+        .run(
+            &Executor::new().with_time_budget(BUDGET),
+            &mut ContinuousPower::new(),
+        )
         .map_err(|e| format!("{e:?}"))?;
     if out.exit_code().is_none() {
-        return Err(format!("{} did not finish: {out:?}", rt.name()));
+        return Err(format!("{} did not finish: {out:?}", device.runtime.name()));
     }
-    Ok(CellOutput {
-        outcome: "finished".to_string(),
-        exit_code: out.exit_code(),
-        cycles: m.cycles(),
-        checkpoints: m.stats().checkpoints,
-        restores: m.stats().restores,
-        undo_appends: m.stats().undo_log_appends,
-        spans: m.mem.span_cycles_all(),
-        ..CellOutput::default()
-    })
+    Ok(device.counters(&Ok(out)))
 }
 
 /// Runs `app` under `system` with that system's default runtime.
@@ -79,8 +71,8 @@ fn run_system(cell: &Cell) -> Result<CellOutput, String> {
         tics_apps::build::Scale(cell.scale),
     )
     .map_err(|e| e.to_string())?;
-    let mut rt = tics_apps::build::make_runtime(cell.system, &prog);
-    run(prog, rt.as_mut(), cell.app)
+    let rt = tics_apps::build::make_runtime(cell.system, &prog);
+    run(prog, rt, cell.app)
 }
 
 /// Builds the TICS image of `app` and runs it with an explicit config
@@ -109,8 +101,7 @@ fn run_tics_config(cell: &Cell) -> Result<CellOutput, String> {
     // Keep the segment array byte size comparable across seg sizes.
     cfg.n_segments = (2048 / cfg.seg_size).max(4);
     let seg_bytes = cfg.seg_size;
-    let mut rt = TicsRuntime::new(cfg);
-    run(prog, &mut rt, cell.app).map(|out| out.with("seg_bytes", seg_bytes))
+    run(prog, Box::new(TicsRuntime::new(cfg)), cell.app).map(|out| out.with("seg_bytes", seg_bytes))
 }
 
 fn st_boundaries(app: App) -> &'static [&'static str] {

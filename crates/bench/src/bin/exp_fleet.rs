@@ -42,7 +42,7 @@ use std::process::ExitCode;
 use tics_apps::{build_app, App, SystemUnderTest};
 use tics_bench::fleet::{run_shard, FleetSpec, ShardStats};
 use tics_bench::sweep::splitmix64;
-use tics_bench::{Cell, CellOutput, ClockKind, Json, SupplySpec, Sweep, SweepArgs};
+use tics_bench::{Cell, ClockKind, Json, SupplySpec, Sweep, SweepArgs};
 use tics_minic::opt::OptLevel;
 use tics_vm::DispatchEngine;
 
@@ -260,15 +260,7 @@ fn main() -> ExitCode {
         };
         let first = u64::try_from(cell.param_i64("first_device")).map_err(|e| e.to_string())?;
         let count = u64::try_from(cell.param_i64("devices")).map_err(|e| e.to_string())?;
-        let stats = run_shard(&spec, first, count)?;
-        Ok(CellOutput {
-            outcome: "finished".to_string(),
-            cycles: stats.cycles,
-            checkpoints: stats.checkpoints,
-            power_failures: stats.power_failures,
-            extra: stats.to_extra(),
-            ..CellOutput::default()
-        })
+        Ok(run_shard(&spec, first, count)?.to_output())
     });
 
     // Fold the journal rows (fresh and resumed alike) back into
@@ -283,7 +275,7 @@ fn main() -> ExitCode {
         rows.sort_by_key(|r| r.shard);
         let mut total = ShardStats::new(0);
         for row in rows {
-            match ShardStats::from_extra(&row.extra) {
+            match ShardStats::from_row(row) {
                 Some(shard) => total.merge(&shard),
                 None => {
                     eprintln!(

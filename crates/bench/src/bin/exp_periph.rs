@@ -30,6 +30,7 @@ use tics_apps::build::make_runtime;
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::periph::{build_periph_program, periph_golden, run_periph_cell, PeriphWorkload};
 use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
+use tics_bench::trial::Subject;
 use tics_bench::Json;
 
 fn main() {
@@ -86,23 +87,21 @@ fn main() {
                 .with("supported", false));
             }
         };
-        let golden = periph_golden(&prog, cell.system)?;
+        let subject = Subject::load(&prog, cell.system).map_err(|e| e.to_string())?;
+        let golden = periph_golden(&subject)?;
         let claims = make_runtime(cell.system, &prog)
             .capabilities()
             .memory_consistency;
-        let report = run_periph_cell(workload, &prog, cell.system, &golden, rate, trials, cell.seed);
+        let report = run_periph_cell(workload, &subject, &golden, rate, trials, cell.seed);
         let mut out = CellOutput {
             outcome: if report.violations > 0 {
                 format!("{} violations", report.violations)
             } else {
                 "detect-or-recover".to_string()
             },
-            cycles: report.total_cycles,
-            power_failures: report.failures_injected,
-            restores: report.recovered,
             text_bytes: prog.text_bytes(),
             data_bytes: prog.data_bytes(),
-            ..CellOutput::default()
+            ..report.counters.clone()
         }
         .with("supported", true)
         .with("claims_consistency", claims)

@@ -26,15 +26,17 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tics_apps::{App, SystemUnderTest};
-use tics_bench::runner::RunConfig;
+use tics_bench::runner::cell_device;
 use tics_bench::sweep::{default_runner, Cell, CellOutput, Sweep, SweepArgs, SupplySpec};
+use tics_bench::trial::Device;
 use tics_bench::Json;
+use tics_clock::PerfectClock;
 use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::{ContinuousPower, PowerSupply, RecordedTrace};
 use tics_mcu::CostModel;
 use tics_minic::{compile, opt::OptLevel, passes};
 use tics_trace::{chrome_trace_json, SpanKind, TraceEvent, TraceRecord};
-use tics_vm::{Executor, Machine, MachineConfig};
+use tics_vm::{Executor, MachineConfig};
 
 const APPS: [App; 3] = [App::Ar, App::Bc, App::Cuckoo];
 
@@ -109,12 +111,18 @@ fn average(values: impl Iterator<Item = u64>) -> Option<u64> {
 fn run_detailed(src: &str, cfg: TicsConfig, supply: &mut dyn PowerSupply) -> Vec<TraceRecord> {
     let mut prog = compile(src, OptLevel::O2).expect("micro-program compiles");
     passes::instrument_tics(&mut prog).expect("micro-program instruments");
-    let mut m = Machine::new(prog, MachineConfig::default()).expect("micro-program loads");
-    m.trace_mut().set_detailed(true);
-    let _ = Executor::new()
-        .with_time_budget(1_000_000_000)
-        .run(&mut m, &mut TicsRuntime::new(cfg), supply)
+    let mut device = Device::load(
+        prog,
+        &MachineConfig::default(),
+        Box::new(TicsRuntime::new(cfg)),
+        Box::new(PerfectClock::new()),
+    )
+    .expect("micro-program loads");
+    device.machine.trace_mut().set_detailed(true);
+    let _ = device
+        .run(&Executor::new().with_time_budget(1_000_000_000), supply)
         .expect("micro-program runs");
+    let m = &device.machine;
     assert_eq!(
         m.mem.span_cycles_all().iter().sum::<u64>(),
         m.cycles(),
@@ -358,38 +366,18 @@ fn parse_system(name: &str) -> Option<SystemUnderTest> {
         .find(|s| s.name().eq_ignore_ascii_case(name))
 }
 
-/// `run_app` keeps sweeps lean (timeline events only), so the export
-/// path builds the machine itself with detail recording on.
-fn run_app_detailed(
-    app: App,
-    system: SystemUnderTest,
-    config: &RunConfig,
-    supply: &mut dyn PowerSupply,
-) -> Result<Vec<TraceRecord>, String> {
-    let prog = tics_apps::build_app(
-        app,
-        system,
-        config.opt,
-        tics_apps::build::Scale(config.scale),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut m = Machine::with_clock(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: config.sensor_trace.clone(),
-            seed: config.seed,
-            ..MachineConfig::default()
-        },
-        config.clock.build(),
-    )
-    .map_err(|e| e.to_string())?;
-    m.trace_mut().set_detailed(true);
-    let mut rt = tics_apps::build::make_runtime(system, &prog);
-    let _ = Executor::new()
-        .with_time_budget(config.time_budget_us)
-        .run(&mut m, rt.as_mut(), supply)
+/// Runs `cell`'s device with detail recording on (sweeps keep to
+/// timeline events) and returns its trace.
+fn run_detailed_cell(cell: &Cell) -> Result<Vec<TraceRecord>, String> {
+    let mut device = cell_device(cell)?;
+    device.machine.trace_mut().set_detailed(true);
+    device
+        .run(
+            &Executor::new().with_time_budget(cell.time_budget_us),
+            cell.supply.build(cell.seed).as_mut(),
+        )
         .map_err(|e| e.to_string())?;
-    Ok(m.trace().records().to_vec())
+    Ok(device.machine.trace().records().to_vec())
 }
 
 /// Re-runs one app × system cell in detailed mode and writes its trace
@@ -403,8 +391,7 @@ fn export_trace(path: &PathBuf, app: App, system: SystemUnderTest) -> bool {
         .scale(8)
         .budget(2_000_000_000);
     cell.seed = 0x0071_2ACE;
-    let mut supply = cell.supply.build(cell.seed);
-    match run_app_detailed(app, system, &cell.run_config(), supply.as_mut()) {
+    match run_detailed_cell(&cell) {
         Ok(records) => {
             let json = chrome_trace_json(&records);
             match std::fs::write(path, &json) {

@@ -8,13 +8,14 @@
 //! one parallel sweep; `results/table1.jsonl` keeps the per-cell
 //! evidence.
 
-use tics_apps::{build_app, ghm, App, SystemUnderTest};
+use tics_apps::{ghm, App, SystemUnderTest};
 use tics_bench::journal::JournalRow;
+use tics_bench::runner::cell_device;
 use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs, SupplySpec};
 use tics_bench::Json;
 use tics_energy::{DutyCycleTrace, PowerSupply, RecordedTrace};
 use tics_minic::opt::OptLevel;
-use tics_vm::{Executor, Machine, MachineConfig};
+use tics_vm::Executor;
 
 /// Experiment window in true microseconds (on + off).
 const WINDOW_US: u64 = 3_000_000;
@@ -50,42 +51,21 @@ fn variant_name(app: App, system: SystemUnderTest) -> &'static str {
 
 fn run_cell(cell: &Cell) -> Result<CellOutput, String> {
     let duty = u32::try_from(cell.param_i64("duty")).expect("duty fits u32");
-    let prog = build_app(
-        cell.app,
-        cell.system,
-        cell.opt,
-        tics_apps::build::Scale(cell.scale),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut machine = Machine::new(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: cell.sensor_trace(),
-            seed: cell.seed,
-            ..MachineConfig::default()
-        },
-    )
-    .expect("program loads");
-    let mut runtime = tics_apps::build::make_runtime(cell.system, &prog);
-    let mut supply = supply_for(duty, cell.seed);
+    let mut device = cell_device(cell)?;
     // The budget is the window's on-time share (generous upper bound).
-    let _ = Executor::new()
-        .with_time_budget(WINDOW_US)
-        .run(&mut machine, runtime.as_mut(), &mut supply)
-        .expect("run completes without traps");
-    let c = ghm::read_counters(&machine);
-    let stats = machine.stats();
+    let outcome = device.run(
+        &Executor::new().with_time_budget(WINDOW_US),
+        &mut supply_for(duty, cell.seed),
+    );
+    outcome.as_ref().expect("run completes without traps");
+    let c = ghm::read_counters(&device.machine);
+    let prog = &device.machine.loaded().program;
     Ok(CellOutput {
         outcome: "window-elapsed".to_string(),
-        cycles: machine.cycles(),
-        checkpoints: stats.checkpoints,
-        restores: stats.restores,
-        power_failures: stats.power_failures,
-        undo_appends: stats.undo_log_appends,
+        exit_code: None,
         text_bytes: prog.text_bytes(),
         data_bytes: prog.data_bytes(),
-        spans: machine.mem.span_cycles_all(),
-        ..CellOutput::default()
+        ..device.counters(&outcome)
     }
     .with("variant", variant_name(cell.app, cell.system))
     .with("sense_moisture", c[0])

@@ -15,14 +15,14 @@
 //! timely-branching, misalignment, and data-expiration violations from
 //! the ground-truth event timeline — the paper's Table 2.
 
-use tics_apps::{build_app, App, SystemUnderTest};
+use tics_apps::{App, SystemUnderTest};
 use tics_baselines::NaiveCheckpoint;
 use tics_bench::journal::JournalRow;
+use tics_bench::runner::cell_device;
 use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs, SupplySpec};
 use tics_bench::{count_violations, ClockKind, Json};
-use tics_core::{TicsConfig, TicsRuntime};
 use tics_minic::opt::OptLevel;
-use tics_vm::{Executor, IntermittentRuntime, Machine, MachineConfig};
+use tics_vm::Executor;
 
 const WINDOWS: u32 = 200;
 const TIME_BUDGET_US: u64 = 4_000_000_000;
@@ -31,54 +31,26 @@ const SEEDS_PER_VARIANT: usize = 6;
 
 fn run_variant(cell: &Cell) -> Result<CellOutput, String> {
     let with_tics = cell.system == SystemUnderTest::Tics;
-    let prog = build_app(
-        cell.app,
-        cell.system,
-        cell.opt,
-        tics_apps::build::Scale(cell.scale),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut machine = Machine::with_clock(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: cell.sensor_trace(),
-            seed: cell.seed,
-            ..MachineConfig::default()
-        },
-        cell.clock.build(),
-    )
-    .expect("program loads");
-    let mut runtime: Box<dyn IntermittentRuntime> = if with_tics {
-        let mut cfg = TicsConfig::s2_star();
-        let max_frame = prog.max_frame_size();
-        if cfg.seg_size < max_frame {
-            cfg.seg_size = max_frame.next_multiple_of(64);
-        }
-        Box::new(TicsRuntime::new(cfg))
-    } else {
-        // Aggressive probing: checkpoints land inside windows, which is
-        // exactly what creates the Figure 3 violations on restore.
-        Box::new(NaiveCheckpoint::new(500))
-    };
-    let mut supply = cell.supply.build(cell.seed);
-    let _ = Executor::new()
-        .with_time_budget(cell.time_budget_us)
-        .run(&mut machine, runtime.as_mut(), supply.as_mut())
-        .expect("run completes");
-    let v = count_violations(machine.trace().records(), with_tics);
-    let stats = machine.stats();
+    // The system's own runtime, except that the legacy variant probes
+    // aggressively: checkpoints land inside windows, which is exactly
+    // what creates the Figure 3 violations on restore.
+    let mut device = cell_device(cell)?;
+    if !with_tics {
+        device.runtime = Box::new(NaiveCheckpoint::new(500));
+    }
+    let outcome = device.run(
+        &Executor::new().with_time_budget(cell.time_budget_us),
+        cell.supply.build(cell.seed).as_mut(),
+    );
+    outcome.as_ref().expect("run completes");
+    let v = count_violations(device.machine.trace().records(), with_tics);
+    let prog = &device.machine.loaded().program;
     Ok(CellOutput {
         outcome: "window-elapsed".to_string(),
         exit_code: None,
-        cycles: machine.cycles(),
-        checkpoints: stats.checkpoints,
-        restores: stats.restores,
-        power_failures: stats.power_failures,
-        undo_appends: stats.undo_log_appends,
         text_bytes: prog.text_bytes(),
         data_bytes: prog.data_bytes(),
-        spans: machine.mem.span_cycles_all(),
-        extra: Vec::new(),
+        ..device.counters(&outcome)
     }
     .with("potential_windows", v.potential_windows)
     .with("potential_timely", v.potential_timely)

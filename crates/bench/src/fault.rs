@@ -29,17 +29,18 @@
 //! on-period) is reported as a *diagnosis*, distinct from a memory
 //! violation — the run never lies about state, it just never advances.
 
-use tics_apps::build::make_runtime;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use tics_apps::SystemUnderTest;
 use tics_baselines::TaskFlavor;
-use tics_energy::{AdversarialSupply, ContinuousPower, Corruption, FaultPlan, Tail};
-use tics_mcu::CorruptionModel;
+use tics_energy::{AdversarialSupply, ContinuousPower, Corruption, FaultPlan, PowerSupply, Tail};
 use tics_minic::opt::OptLevel;
 use tics_minic::{compile, passes, Program};
 use tics_trace::{TraceEvent, TraceRecord};
-use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
+use tics_vm::{Executor, RunOutcome, VmError};
 
-use crate::sweep::splitmix64;
+use crate::sweep::{panic_text, splitmix64, CellOutput};
+use crate::trial::{Device, Subject};
 
 /// Outage injected after each planned cut (µs). Strictly positive so
 /// post-reboot events can never share a timestamp with the failure.
@@ -373,13 +374,26 @@ pub fn build_fault_program(
     program: FaultProgram,
     system: SystemUnderTest,
 ) -> Result<Program, String> {
+    let task_port = program.task_src().ok_or_else(|| {
+        format!(
+            "{} has no task-graph port (pointer or recursion shape)",
+            program.name()
+        )
+    });
+    build_for(system, program.legacy_src(), task_port)
+}
+
+/// The per-system build rules behind [`build_fault_program`] and
+/// [`crate::periph::build_periph_program`]: `task_port` (the task-graph
+/// source and its task names, or why there is none) for the task
+/// kernels, `legacy_src` for everything else.
+pub(crate) fn build_for(
+    system: SystemUnderTest,
+    legacy_src: &str,
+    task_port: Result<(&str, &[&str]), String>,
+) -> Result<Program, String> {
     if system.is_task_based() {
-        let Some((src, tasks)) = program.task_src() else {
-            return Err(format!(
-                "{} has no task-graph port (pointer or recursion shape)",
-                program.name()
-            ));
-        };
+        let (src, tasks) = task_port?;
         let flavor = match system {
             SystemUnderTest::Alpaca => TaskFlavor::Alpaca,
             SystemUnderTest::Ink => TaskFlavor::Ink,
@@ -400,7 +414,7 @@ pub fn build_fault_program(
     } else {
         OptLevel::O1
     };
-    let mut prog = compile(program.legacy_src(), opt).map_err(|e| e.to_string())?;
+    let mut prog = compile(legacy_src, opt).map_err(|e| e.to_string())?;
     match system {
         SystemUnderTest::PlainC => {}
         SystemUnderTest::Tics => passes::instrument_tics(&mut prog).map_err(|e| e.to_string())?,
@@ -549,21 +563,38 @@ pub struct Golden {
 /// A golden run that does not finish is a corpus or runtime bug, not a
 /// fault-injection result — it is reported as a string error.
 pub fn golden_run(prog: &Program, system: SystemUnderTest) -> Result<Golden, String> {
-    let mut m = Machine::new(prog.clone(), MachineConfig::default())
+    let subject = Subject::load(prog, system).map_err(|e| format!("golden load failed: {e}"))?;
+    golden_device(&subject).map(|(golden, _)| golden)
+}
+
+/// [`golden_run`] on a fresh device of `subject`, which is returned
+/// finished so callers can read what it left behind (the torn-wire
+/// oracle's device-side logs).
+///
+/// # Errors
+///
+/// As [`golden_run`].
+pub fn golden_device(subject: &Subject) -> Result<(Golden, Device), String> {
+    let mut device = subject
+        .device()
         .map_err(|e| format!("golden load failed: {e}"))?;
-    let mut rt = make_runtime(system, prog);
-    let out = Executor::new()
-        .with_time_budget(30_000_000_000)
-        .run(&mut m, rt.as_mut(), &mut ContinuousPower::new());
+    let out = device.run(
+        &Executor::new().with_time_budget(30_000_000_000),
+        &mut ContinuousPower::new(),
+    );
     match out {
-        Ok(RunOutcome::Finished(code)) => Ok(Golden {
-            events: event_timeline(m.trace().records())
-                .into_iter()
-                .map(|(_, e)| e)
-                .collect(),
-            exit_code: code,
-            on_cycles: m.cycles(),
-        }),
+        Ok(RunOutcome::Finished(code)) => {
+            let m = &device.machine;
+            let golden = Golden {
+                events: event_timeline(m.trace().records())
+                    .into_iter()
+                    .map(|(_, e)| e)
+                    .collect(),
+                exit_code: code,
+                on_cycles: m.cycles(),
+            };
+            Ok((golden, device))
+        }
         Ok(other) => Err(format!("golden run did not finish: {other:?}")),
         Err(e) => Err(format!("golden run trapped: {e}")),
     }
@@ -603,7 +634,25 @@ pub fn fault_budget_us(golden: &Golden) -> u64 {
     golden.on_cycles.saturating_mul(64).saturating_add(10_000_000)
 }
 
-/// Replays `prog` under `system` with power dying per `plan`.
+impl Trial {
+    /// A trial whose device never loaded.
+    fn unloaded(e: VmError) -> Trial {
+        Trial {
+            outcome: Err(e),
+            trace: Vec::new(),
+            power_failures: 0,
+            torn_writes: 0,
+            corrupted_writes: 0,
+            recoveries: 0,
+            cycles: 0,
+        }
+    }
+}
+
+/// Replays `prog` under `system` with power dying per `plan`. Corrupted
+/// state can drive the VM somewhere its own checks never anticipated (a
+/// wild pc); that fail-stop crash is contained as a [`VmError::Trap`]
+/// reading `vm crashed on corrupted state: …`, judged as a loud `Error`.
 #[must_use]
 pub fn run_plan(
     prog: &Program,
@@ -612,48 +661,39 @@ pub fn run_plan(
     budget_us: u64,
     guard_boots: u64,
 ) -> Trial {
-    let mut m = match Machine::new(prog.clone(), MachineConfig::default()) {
-        Ok(m) => m,
-        Err(e) => {
-            return Trial {
-                outcome: Err(e),
-                trace: Vec::new(),
-                power_failures: 0,
-                torn_writes: 0,
-                corrupted_writes: 0,
-                recoveries: 0,
-                cycles: 0,
-            }
-        }
+    match Subject::load(prog, system) {
+        Ok(subject) => replay(&subject, plan, budget_us, guard_boots).0,
+        Err(e) => Trial::unloaded(e),
+    }
+}
+
+/// [`run_plan`] on a fresh device of `subject`, with brown-out
+/// corruption armed when the plan carries a spec. The finished device
+/// rides along (`None` if it failed to instantiate) for its counters
+/// and wire logs.
+#[must_use]
+pub(crate) fn replay(
+    subject: &Subject,
+    plan: &FaultPlan,
+    budget_us: u64,
+    guard_boots: u64,
+) -> (Trial, Option<Device>) {
+    let mut device = match subject.device() {
+        Ok(device) => device,
+        Err(e) => return (Trial::unloaded(e), None),
     };
     if let Some(c) = &plan.corruption {
-        m.mem.set_corruption(Some(
-            CorruptionModel::new(c.window, c.flip_prob, c.drop_prob, c.seed)
-                .with_sram_decay(c.sram_decay),
-        ));
+        device.arm_corruption(c);
     }
-    let mut rt = make_runtime(system, prog);
-    let mut supply = AdversarialSupply::new(plan.clone());
-    // Executing from hardware-corrupted state can drive the VM somewhere
-    // its own checks never anticipated (a restored register becomes a
-    // wild pc). On silicon that is a fail-stop crash; here the panic is
-    // contained and judged as a loud `Error` verdict rather than taking
-    // the harness thread down.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Executor::new()
+    let outcome = run_contained(
+        &mut device,
+        &Executor::new()
             .with_time_budget(budget_us)
-            .with_progress_guard(guard_boots)
-            .run(&mut m, rt.as_mut(), &mut supply)
-    }))
-    .unwrap_or_else(|payload| {
-        let text = payload
-            .downcast_ref::<&str>()
-            .map(ToString::to_string)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(VmError::Trap(format!("vm crashed on corrupted state: {text}")))
-    });
-    Trial {
+            .with_progress_guard(guard_boots),
+        &mut AdversarialSupply::new(plan.clone()),
+    );
+    let m = &device.machine;
+    let trial = Trial {
         outcome,
         trace: m.trace().records().to_vec(),
         power_failures: m.stats().power_failures,
@@ -661,7 +701,37 @@ pub fn run_plan(
         corrupted_writes: m.mem.stats().corrupted_writes,
         recoveries: m.stats().recoveries,
         cycles: m.cycles(),
+    };
+    (trial, Some(device))
+}
+
+/// One trial's life with a VM panic contained as a [`VmError::Trap`]
+/// (see [`run_plan`]) — the trial pipeline's only containment site.
+pub(crate) fn run_contained(
+    device: &mut Device,
+    exec: &Executor,
+    supply: &mut dyn PowerSupply,
+) -> Result<RunOutcome, VmError> {
+    catch_unwind(AssertUnwindSafe(|| device.run(exec, supply))).unwrap_or_else(|payload| {
+        Err(VmError::Trap(format!(
+            "vm crashed on corrupted state: {}",
+            panic_text(payload.as_ref())
+        )))
+    })
+}
+
+/// [`replay`], adding the finished device's counters to `counters`.
+pub(crate) fn counted_replay(
+    subject: &Subject,
+    plan: &FaultPlan,
+    budget_us: u64,
+    counters: &mut CellOutput,
+) -> (Trial, Option<Device>) {
+    let (trial, device) = replay(subject, plan, budget_us, GUARD_BOOTS);
+    if let Some(d) = &device {
+        counters.add_counters(&d.counters(&trial.outcome));
     }
+    (trial, device)
 }
 
 /// The oracle's judgment of one faulted replay.
@@ -890,13 +960,30 @@ pub fn shrink_plan(
     guard_boots: u64,
     strict_completion: bool,
 ) -> FaultPlan {
+    match Subject::load(prog, system) {
+        Ok(subject) => shrink(&subject, golden, plan, budget_us, guard_boots, strict_completion),
+        // A program that does not load has no replay to shrink against.
+        Err(_) => plan.clone(),
+    }
+}
+
+/// [`shrink_plan`] replaying candidates on fresh devices of `subject`:
+/// how a fault cell shrinks its first violation.
+fn shrink(
+    subject: &Subject,
+    golden: &Golden,
+    plan: &FaultPlan,
+    budget_us: u64,
+    guard_boots: u64,
+    strict_completion: bool,
+) -> FaultPlan {
     let mut current = plan.clone();
     let mut changed = true;
     while changed && current.cuts.len() > 1 {
         changed = false;
         for i in 0..current.cuts.len() {
             let candidate = current.without(i);
-            let trial = run_plan(prog, system, &candidate, budget_us, guard_boots);
+            let (trial, _) = replay(subject, &candidate, budget_us, guard_boots);
             if judge(golden, &trial).is_violation(strict_completion) {
                 current = candidate;
                 changed = true;
@@ -1009,10 +1096,10 @@ pub struct CellReport {
     pub violations: u64,
     /// Trials in which at least one store was torn at a cut.
     pub torn_write_trials: u64,
-    /// Power failures injected across all trials.
-    pub failures_injected: u64,
-    /// On-time cycles simulated across all trials.
-    pub total_cycles: u64,
+    /// The judged trials' counters summed (cycles, checkpoints,
+    /// restores, power failures injected, undo appends, spans); shrink
+    /// replays are not included.
+    pub counters: CellOutput,
     /// First violation found, shrunk for the journal.
     pub first_violation: Option<Violation>,
 }
@@ -1020,8 +1107,7 @@ pub struct CellReport {
 /// Runs every plan of `strategy` for one cell and judges each replay.
 #[must_use]
 pub fn run_fault_cell(
-    prog: &Program,
-    system: SystemUnderTest,
+    subject: &Subject,
     golden: &Golden,
     strategy: Strategy,
     trials: usize,
@@ -1036,11 +1122,9 @@ pub fn run_fault_cell(
         ..CellReport::default()
     };
     for plan in &plans {
-        let trial = run_plan(prog, system, plan, budget, GUARD_BOOTS);
+        let (trial, _) = counted_replay(subject, plan, budget, &mut report.counters);
         let verdict = judge(golden, &trial);
         report.trials += 1;
-        report.failures_injected += trial.power_failures;
-        report.total_cycles += trial.cycles;
         if trial.torn_writes > 0 {
             report.torn_write_trials += 1;
         }
@@ -1056,7 +1140,7 @@ pub fn run_fault_cell(
         if verdict.is_violation(strict) {
             report.violations += 1;
             if report.first_violation.is_none() {
-                let shrunk = shrink_plan(prog, system, golden, plan, budget, GUARD_BOOTS, strict);
+                let shrunk = shrink(subject, golden, plan, budget, GUARD_BOOTS, strict);
                 let detail = match &verdict {
                     Verdict::Divergent { detail, .. }
                     | Verdict::CorruptedState { detail, .. } => detail.clone(),
@@ -1118,13 +1202,12 @@ pub struct ChaosReport {
     pub corrupted_writes: u64,
     /// CRC-detected bank recoveries the runtime performed.
     pub recoveries: u64,
-    /// Power failures injected across all trials.
-    pub failures_injected: u64,
     /// Reboots summed over consistent trials (numerator of
     /// [`ChaosReport::mean_reboots_to_recover`]).
     pub reboots_in_consistent: u64,
-    /// On-time cycles simulated across all trials.
-    pub total_cycles: u64,
+    /// The trials' counters summed (cycles, checkpoints, restores,
+    /// power failures injected, undo appends, spans).
+    pub counters: CellOutput,
     /// Detail of the first corrupted-state verdict, for the journal.
     pub first_corruption: Option<String>,
 }
@@ -1157,8 +1240,7 @@ impl ChaosReport {
 /// Deterministic: same seed, same plans, same corruption stream.
 #[must_use]
 pub fn run_chaos_cell(
-    prog: &Program,
-    system: SystemUnderTest,
+    subject: &Subject,
     golden: &Golden,
     rate: f64,
     trials: usize,
@@ -1170,11 +1252,9 @@ pub fn run_chaos_cell(
         let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
         let plan = FaultPlan::random(s, golden.on_cycles, 1 + i % 3, OFF_US)
             .with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)));
-        let trial = run_plan(prog, system, &plan, budget, GUARD_BOOTS);
+        let (trial, _) = counted_replay(subject, &plan, budget, &mut report.counters);
         let verdict = judge(golden, &trial);
         report.trials += 1;
-        report.failures_injected += trial.power_failures;
-        report.total_cycles += trial.cycles;
         report.corrupted_writes += trial.corrupted_writes;
         report.recoveries += trial.recoveries;
         if trial.corrupted_writes > 0 {
@@ -1229,6 +1309,12 @@ mod tests {
         (prog, golden)
     }
 
+    fn subject_of(p: FaultProgram, system: SystemUnderTest) -> (Subject, Golden) {
+        let subject = Subject::load(&build_fault_program(p, system).unwrap(), system).unwrap();
+        let (golden, _) = golden_device(&subject).unwrap();
+        (subject, golden)
+    }
+
     fn send(value: i32, at_us: u64) -> TraceRecord {
         TraceRecord {
             at_us,
@@ -1242,6 +1328,22 @@ mod tests {
             at_us,
             cycle: at_us,
             event: TraceEvent::PowerFailure { off_us: OFF_US },
+        }
+    }
+
+    /// A replay of `trace` that finished with exit `code`.
+    fn finished(code: i32, trace: Vec<TraceRecord>) -> Trial {
+        let failures = trace
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::PowerFailure { .. }));
+        Trial {
+            outcome: Ok(RunOutcome::Finished(code)),
+            power_failures: failures.count() as u64,
+            trace,
+            torn_writes: 0,
+            corrupted_writes: 0,
+            recoveries: 0,
+            cycles: 60,
         }
     }
 
@@ -1270,16 +1372,7 @@ mod tests {
         };
         // Replay re-emits event 2 after a reboot — a legal duplicate.
         let trace = vec![send(1, 10), send(2, 20), failure(30), send(2, 40), send(3, 50)];
-        let trial = Trial {
-            outcome: Ok(RunOutcome::Finished(7)),
-            trace,
-            power_failures: 1,
-            torn_writes: 0,
-            corrupted_writes: 0,
-            recoveries: 0,
-            cycles: 60,
-        };
-        assert_eq!(judge(&golden, &trial), Verdict::Consistent);
+        assert_eq!(judge(&golden, &finished(7, trace)), Verdict::Consistent);
     }
 
     #[test]
@@ -1292,16 +1385,7 @@ mod tests {
         // After the reboot the replay emits 9 — matching no golden
         // prefix at or before the high-water mark.
         let trace = vec![send(1, 10), failure(30), send(9, 40), send(3, 50)];
-        let trial = Trial {
-            outcome: Ok(RunOutcome::Finished(7)),
-            trace,
-            power_failures: 1,
-            torn_writes: 0,
-            corrupted_writes: 0,
-            recoveries: 0,
-            cycles: 60,
-        };
-        match judge(&golden, &trial) {
+        match judge(&golden, &finished(7, trace)) {
             Verdict::Divergent { segment, .. } => assert_eq!(segment, 1),
             v => panic!("expected divergence, got {v:?}"),
         }
@@ -1314,26 +1398,10 @@ mod tests {
             exit_code: 7,
             on_cycles: 100,
         };
-        let lost = Trial {
-            outcome: Ok(RunOutcome::Finished(7)),
-            trace: vec![send(1, 10)],
-            power_failures: 0,
-            torn_writes: 0,
-            corrupted_writes: 0,
-            recoveries: 0,
-            cycles: 60,
-        };
+        let lost = finished(7, vec![send(1, 10)]);
         assert!(matches!(judge(&golden, &lost), Verdict::Divergent { .. }));
 
-        let wrong = Trial {
-            outcome: Ok(RunOutcome::Finished(8)),
-            trace: vec![send(1, 10), send(2, 20)],
-            power_failures: 0,
-            torn_writes: 0,
-            corrupted_writes: 0,
-            recoveries: 0,
-            cycles: 60,
-        };
+        let wrong = finished(8, vec![send(1, 10), send(2, 20)]);
         assert_eq!(
             judge(&golden, &wrong),
             Verdict::WrongExit {
@@ -1348,16 +1416,9 @@ mod tests {
         // The headline result: sweep cut points over naive-mementos,
         // find a reproducible divergence, shrink it, then replay the
         // minimal plan under TICS — which must stay consistent.
-        let (naive_prog, naive_golden) =
-            golden_of(FaultProgram::NvAccumulator, SystemUnderTest::Mementos);
-        let report = run_fault_cell(
-            &naive_prog,
-            SystemUnderTest::Mementos,
-            &naive_golden,
-            Strategy::Stride,
-            40,
-            0xF417,
-        );
+        let (naive, naive_golden) =
+            subject_of(FaultProgram::NvAccumulator, SystemUnderTest::Mementos);
+        let report = run_fault_cell(&naive, &naive_golden, Strategy::Stride, 40, 0xF417);
         assert!(
             report.violations > 0,
             "naive checkpointing must diverge somewhere in the sweep: {report:?}"
@@ -1381,15 +1442,8 @@ mod tests {
 
     #[test]
     fn tics_survives_a_stride_sweep() {
-        let (prog, golden) = golden_of(FaultProgram::NvAccumulator, SystemUnderTest::Tics);
-        let report = run_fault_cell(
-            &prog,
-            SystemUnderTest::Tics,
-            &golden,
-            Strategy::Stride,
-            32,
-            0xF417,
-        );
+        let (tics, golden) = subject_of(FaultProgram::NvAccumulator, SystemUnderTest::Tics);
+        let report = run_fault_cell(&tics, &golden, Strategy::Stride, 32, 0xF417);
         assert_eq!(report.violations, 0, "{report:?}");
         assert_eq!(report.trials, 32);
     }
@@ -1451,27 +1505,14 @@ mod tests {
         };
         let diverging_trace = vec![send(1, 10), failure(30), send(9, 40), send(3, 50)];
         let clean = Trial {
-            outcome: Ok(RunOutcome::Finished(7)),
-            trace: diverging_trace.clone(),
-            power_failures: 1,
             torn_writes: 1,
-            corrupted_writes: 0,
-            recoveries: 0,
-            cycles: 60,
+            ..finished(7, diverging_trace.clone())
         };
         assert!(matches!(judge(&golden, &clean), Verdict::Divergent { .. }));
 
         let dirty = Trial {
             corrupted_writes: 3,
-            ..Trial {
-                outcome: Ok(RunOutcome::Finished(7)),
-                trace: diverging_trace,
-                power_failures: 1,
-                torn_writes: 1,
-                corrupted_writes: 0,
-                recoveries: 0,
-                cycles: 60,
-            }
+            ..clean
         };
         match judge(&golden, &dirty) {
             Verdict::CorruptedState {
@@ -1489,16 +1530,9 @@ mod tests {
         // whole-state checkpointer restores flipped banks and keeps
         // going (silent corrupted-state), while TICS's CRC-validated
         // double banks either heal or trap — never lie.
-        let (naive_prog, naive_golden) =
-            golden_of(FaultProgram::NvAccumulator, SystemUnderTest::Mementos);
-        let naive = run_chaos_cell(
-            &naive_prog,
-            SystemUnderTest::Mementos,
-            &naive_golden,
-            0.4,
-            24,
-            0xC0FF,
-        );
+        let (naive, naive_golden) =
+            subject_of(FaultProgram::NvAccumulator, SystemUnderTest::Mementos);
+        let naive = run_chaos_cell(&naive, &naive_golden, 0.4, 24, 0xC0FF);
         assert!(
             naive.corrupted_write_trials > 0,
             "corruption model never fired: {naive:?}"
@@ -1508,16 +1542,8 @@ mod tests {
             "naive checkpointing must silently consume corruption somewhere: {naive:?}"
         );
 
-        let (tics_prog, tics_golden) =
-            golden_of(FaultProgram::NvAccumulator, SystemUnderTest::Tics);
-        let tics = run_chaos_cell(
-            &tics_prog,
-            SystemUnderTest::Tics,
-            &tics_golden,
-            0.4,
-            24,
-            0xC0FF,
-        );
+        let (tics, tics_golden) = subject_of(FaultProgram::NvAccumulator, SystemUnderTest::Tics);
+        let tics = run_chaos_cell(&tics, &tics_golden, 0.4, 24, 0xC0FF);
         assert_eq!(tics.corrupted_state, 0, "{tics:?}");
         assert!(
             (tics.detect_or_recover_rate() - 1.0).abs() < f64::EPSILON,

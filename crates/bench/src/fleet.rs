@@ -24,19 +24,21 @@
 //! resumable ([`JournalRow::shard`]).
 //!
 //! [`JournalRow::shard`]: crate::journal::JournalRow
+//! [`Machine`]: tics_vm::Machine
+//! [`Machine::reset`]: tics_vm::Machine::reset
 
-use std::sync::Arc;
-
+use tics_apps::build::make_runtime;
 use tics_apps::{build_app, App, SystemUnderTest};
 use tics_minic::opt::OptLevel;
 use tics_trace::SpanKind;
-use tics_vm::{DispatchEngine, ExecStats, Executor, Machine, MachineConfig, MachineImage,
-              RunOutcome};
+use tics_vm::{DispatchEngine, ExecStats, Executor, MachineConfig, MachineImage, RunOutcome};
 
+use crate::journal::JournalRow;
 use crate::json::Json;
 use crate::oracle::count_violations;
 use crate::runner::ClockKind;
-use crate::sweep::{cell_seed, splitmix64, standard_sensor_trace, SupplySpec};
+use crate::sweep::{cell_seed, splitmix64, standard_sensor_trace, CellOutput, SupplySpec};
+use crate::trial::Device;
 
 /// Offender exemplars kept per shard (and in the merged report).
 pub const RESERVOIR_K: usize = 16;
@@ -403,6 +405,10 @@ pub struct ShardStats {
     pub overhead_permille: StreamingHistogram,
     /// Reservoir-sampled worst offenders.
     pub offenders: Reservoir,
+    /// Every device's [`Device::counters`] summed: the shard row's
+    /// cycles, checkpoints, restores, power failures, undo appends and
+    /// per-[`SpanKind`] cycles (which sum to `cycles`).
+    pub counters: CellOutput,
 }
 
 impl ShardStats {
@@ -426,15 +432,16 @@ impl ShardStats {
             reactive_us: StreamingHistogram::new(),
             overhead_permille: StreamingHistogram::new(),
             offenders: Reservoir::new(seed),
+            counters: CellOutput::default(),
         }
     }
 
-    /// Folds one finished device run into the aggregate.
+    /// Folds one finished device life (`unit`) into the aggregate.
     fn fold_device(
         &mut self,
         device: u64,
         seed: u64,
-        machine: &Machine,
+        unit: &Device,
         outcome: &Result<RunOutcome, tics_vm::VmError>,
         atomic_timestamps: bool,
     ) {
@@ -462,29 +469,29 @@ impl ShardStats {
             }
         };
 
-        let stats = machine.stats();
-        self.power_failures += stats.power_failures;
-        self.checkpoints += stats.checkpoints;
+        let counters = unit.counters(outcome);
+        self.counters.add_counters(&counters);
+        self.power_failures += counters.power_failures;
+        self.checkpoints += counters.checkpoints;
+        self.cycles += counters.cycles;
+        let stats = unit.machine.stats();
         self.instructions += stats.instructions;
-        self.cycles += machine.cycles();
         if stats.recoveries > 0 {
             self.recovered_devices += 1;
         }
 
         let worst_reactive = self.fold_reactive(stats);
 
-        let cycles = machine.cycles();
-        let spans = machine.mem.span_cycles_all();
         let overhead: u64 = SpanKind::ALL
             .iter()
             .filter(|k| k.is_runtime())
-            .map(|k| spans[k.index()])
+            .map(|k| counters.span_cycles[k.index()])
             .sum();
-        if let Some(permille) = (overhead * 1000).checked_div(cycles) {
+        if let Some(permille) = (overhead * 1000).checked_div(counters.cycles) {
             self.overhead_permille.record(permille);
         }
 
-        let v = count_violations(machine.trace().records(), atomic_timestamps);
+        let v = count_violations(unit.machine.trace().records(), atomic_timestamps);
         self.violations += v.total();
         let livelocked = matches!(outcome, Ok(RunOutcome::Starved { .. }));
         if v.total() > 0 {
@@ -543,6 +550,18 @@ impl ShardStats {
         self.reactive_us.merge(&other.reactive_us);
         self.overhead_permille.merge(&other.overhead_permille);
         self.offenders.merge(&other.offenders);
+        self.counters.add_counters(&other.counters);
+    }
+
+    /// The shard's journal row: its summed counters, plus the whole
+    /// aggregate in `extra` ([`ShardStats::to_extra`]).
+    #[must_use]
+    pub fn to_output(&self) -> CellOutput {
+        CellOutput {
+            outcome: "finished".to_string(),
+            extra: self.to_extra(),
+            ..self.counters.clone()
+        }
     }
 
     /// Serializes the aggregate into journal `extra` fields, histograms
@@ -574,11 +593,11 @@ impl ShardStats {
         ]
     }
 
-    /// Parses an aggregate back out of journal `extra` fields (the
-    /// inverse of [`ShardStats::to_extra`]).
+    /// Parses an aggregate back out of a journal row (the inverse of
+    /// [`ShardStats::to_output`]).
     #[must_use]
-    pub fn from_extra(extra: &[(String, Json)]) -> Option<ShardStats> {
-        let get = |k: &str| extra.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+    pub fn from_row(row: &JournalRow) -> Option<ShardStats> {
+        let get = |k: &str| row.extra.iter().find(|(key, _)| key == k).map(|(_, v)| v);
         let num = |k: &str| get(k).and_then(Json::as_u64);
         let mut offenders = Reservoir::new(0);
         for item in get("offenders")?.as_arr()? {
@@ -602,6 +621,15 @@ impl ShardStats {
             reactive_us: StreamingHistogram::from_json(get("reactive_us")?)?,
             overhead_permille: StreamingHistogram::from_json(get("overhead_permille")?)?,
             offenders,
+            counters: CellOutput {
+                cycles: row.cycles,
+                checkpoints: row.checkpoints,
+                restores: row.restores,
+                power_failures: row.power_failures,
+                undo_appends: row.undo_appends,
+                span_cycles: row.spans,
+                ..CellOutput::default()
+            },
         })
     }
 }
@@ -647,7 +675,8 @@ impl FleetSpec {
 
 /// Runs devices `first..first + count` of `spec` and returns the shard
 /// aggregate. Builds the program and [`MachineImage`] once, then
-/// recycles one machine (and one runtime) across the whole range.
+/// recycles one [`Device`] (machine and runtime) across the whole
+/// range.
 ///
 /// # Errors
 ///
@@ -670,34 +699,23 @@ pub fn run_shard(spec: &FleetSpec, first: u64, count: u64) -> Result<ShardStats,
         },
     )
     .map_err(|e| e.to_string())?;
-    let mut runtime = tics_apps::build::make_runtime(spec.system, &prog);
+    let exec = Executor::new()
+        .with_engine(spec.engine)
+        .with_time_budget(spec.time_budget_us)
+        .with_progress_guard(spec.guard_boots);
     let atomic_timestamps = spec.system == SystemUnderTest::Tics;
 
     let mut stats = ShardStats::new(spec.device_seed(first));
-    let mut machine: Option<Machine> = None;
+    let runtime = make_runtime(spec.system, &prog);
+    let mut device = Device::new(&image, runtime, spec.device_seed(first), spec.clock.build())
+        .map_err(|e| e.to_string())?;
     for d in first..first + count {
         let seed = spec.device_seed(d);
-        let m = match machine.as_mut() {
-            None => {
-                machine = Some(
-                    Machine::from_image(Arc::clone(&image), seed, spec.clock.build())
-                        .map_err(|e| e.to_string())?,
-                );
-                machine.as_mut().expect("just built")
-            }
-            Some(m) => {
-                m.reset(seed).map_err(|e| e.to_string())?;
-                m
-            }
-        };
-        runtime.recycle();
-        let mut supply = spec.supply.build(seed);
-        let outcome = Executor::new()
-            .with_engine(spec.engine)
-            .with_time_budget(spec.time_budget_us)
-            .with_progress_guard(spec.guard_boots)
-            .run(m, runtime.as_mut(), supply.as_mut());
-        stats.fold_device(d, seed, m, &outcome, atomic_timestamps);
+        if d > first {
+            device.recycle(seed).map_err(|e| e.to_string())?;
+        }
+        let outcome = device.run(&exec, spec.supply.build(seed).as_mut());
+        stats.fold_device(d, seed, &device, &outcome, atomic_timestamps);
     }
     Ok(stats)
 }
@@ -858,7 +876,11 @@ mod tests {
             worst_reactive_us: 250_000,
             outcome: "finished".into(),
         });
-        assert_eq!(ShardStats::from_extra(&s.to_extra()), Some(s));
+        s.counters.cycles = 999;
+        s.counters.restores = 5;
+        s.counters.span_cycles[SpanKind::App.index()] = 999;
+        let row = JournalRow::from(s.to_output());
+        assert_eq!(ShardStats::from_row(&row), Some(s));
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! Every sweep writes `results/<exp>.jsonl` (or `--journal <path>`):
 //! each row records the cell's coordinates in the grid (app, system,
-//! opt level, clock, supply, scale, derived seed), its [`RunResult`]
-//! counters, any experiment-specific metrics under `extra`, how the
-//! cell ended (`ok` / `build-error` / `panicked`), and two
-//! non-deterministic provenance fields (`wall_ms`, `thread`).
+//! opt level, clock, supply, scale, derived seed), its simulated
+//! counters ([`Device::counters`], summed over every device life the
+//! cell ran — so `spans` adds up to `cycles`), any experiment-specific
+//! metrics under `extra`, how the cell ended (`ok` / `build-error` /
+//! `panicked` / `timeout`), and two non-deterministic provenance fields
+//! (`wall_ms`, `thread`).
 //!
 //! Rows are written in cell-index order regardless of how many worker
 //! threads executed the sweep, so two journals of the same grid and
@@ -14,7 +16,7 @@
 //! journal into a paper table is [`read`] plus ordinary iteration; no
 //! re-simulation needed.
 //!
-//! [`RunResult`]: crate::runner::RunResult
+//! [`Device::counters`]: crate::trial::Device::counters
 
 use std::fmt;
 use std::fs::File;

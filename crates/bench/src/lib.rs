@@ -36,11 +36,12 @@ pub mod periph;
 pub mod reviewer;
 pub mod runner;
 pub mod sweep;
+pub mod trial;
 
 pub use fleet::{run_shard, Exemplar, FleetSpec, Reservoir, ShardStats, StreamingHistogram};
 pub use json::Json;
 pub use oracle::{count_violations, Violations};
-pub use runner::{run_app, ClockKind, RunConfig, RunResult};
+pub use runner::{run_app, ClockKind};
 pub use sweep::{Cell, CellOutput, Sweep, SweepArgs, SweepOutcome, SweepSummary, SupplySpec};
 
 use std::path::Path;

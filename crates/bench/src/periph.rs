@@ -34,20 +34,20 @@
 //! `print`) is permitted: the transaction committed on the wire and the
 //! journal skips its replay.
 
-use tics_apps::build::make_runtime;
 use tics_apps::SystemUnderTest;
-use tics_baselines::TaskFlavor;
-use tics_energy::{AdversarialSupply, ContinuousPower, Corruption, FaultPlan};
+use tics_energy::{Corruption, FaultPlan};
 use tics_mcu::periph::{ServedRead, Uart, WireByte};
-use tics_mcu::CorruptionModel;
-use tics_minic::opt::OptLevel;
-use tics_minic::{compile, passes, Program};
+use tics_minic::Program;
 use tics_trace::{TraceEvent, TraceRecord};
-use tics_vm::{Executor, Machine, MachineConfig, RunOutcome, VmError};
+use tics_vm::{RunOutcome, VmError};
 
-use crate::fault::{fault_budget_us, Golden, CHAOS_WINDOW, GUARD_BOOTS, OFF_US};
+use crate::fault::{
+    build_for, fault_budget_us, golden_device, counted_replay, Event, Golden, Trial, CHAOS_WINDOW,
+    OFF_US,
+};
 use crate::json::Json;
-use crate::sweep::splitmix64;
+use crate::sweep::{splitmix64, CellOutput};
+use crate::trial::Subject;
 
 /// Telemetry frame header byte — the only value ≥ 0x80 a valid frame
 /// carries, so the parser can always resynchronize on it.
@@ -317,12 +317,11 @@ impl PeriphWorkload {
     }
 }
 
-/// Builds (compiles + instruments) a peripheral workload for `system`,
-/// mirroring the per-system rules of
-/// [`crate::fault::build_fault_program`]: task kernels get the
-/// hand-ported task graph (one transaction attempt per loop-free task
-/// body), TICS gets the `@expires`-annotated sensor variant, Chinchilla
-/// compiles at `-O0`.
+/// Builds (compiles + instruments) a peripheral workload for `system`
+/// under the per-system rules of [`crate::fault::build_fault_program`]:
+/// task kernels get the hand-ported task graph (one transaction attempt
+/// per loop-free task body), TICS gets the `@expires`-annotated sensor
+/// variant, Chinchilla compiles at `-O0`.
 ///
 /// # Errors
 ///
@@ -332,50 +331,10 @@ pub fn build_periph_program(
     workload: PeriphWorkload,
     system: SystemUnderTest,
 ) -> Result<Program, String> {
-    if system.is_task_based() {
-        let Some((src, tasks)) = workload.task_src() else {
-            return Err(format!(
-                "{} has no loop-free task-graph port",
-                workload.name()
-            ));
-        };
-        let flavor = match system {
-            SystemUnderTest::Alpaca => TaskFlavor::Alpaca,
-            SystemUnderTest::Ink => TaskFlavor::Ink,
-            _ => TaskFlavor::Mayfly,
-        };
-        let mut prog = compile(src, OptLevel::O1).map_err(|e| e.to_string())?;
-        passes::instrument_task_based(
-            &mut prog,
-            tasks,
-            flavor.runtime_text_bytes(),
-            flavor.runtime_data_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
-        return Ok(prog);
-    }
-    let opt = if system == SystemUnderTest::Chinchilla {
-        OptLevel::O0
-    } else {
-        OptLevel::O1
-    };
-    let mut prog =
-        compile(workload.legacy_src(system), opt).map_err(|e| e.to_string())?;
-    match system {
-        SystemUnderTest::PlainC => {}
-        SystemUnderTest::Tics => passes::instrument_tics(&mut prog).map_err(|e| e.to_string())?,
-        SystemUnderTest::Mementos => {
-            passes::instrument_mementos(&mut prog).map_err(|e| e.to_string())?;
-        }
-        SystemUnderTest::Chinchilla => {
-            passes::instrument_chinchilla(&mut prog).map_err(|e| e.to_string())?;
-        }
-        SystemUnderTest::Ratchet => {
-            passes::instrument_ratchet(&mut prog).map_err(|e| e.to_string())?;
-        }
-        _ => unreachable!("task systems handled above"),
-    }
-    Ok(prog)
+    let task_port = workload
+        .task_src()
+        .ok_or_else(|| format!("{} has no loop-free task-graph port", workload.name()));
+    build_for(system, workload.legacy_src(system), task_port)
 }
 
 // ---------------------------------------------------------------------
@@ -445,33 +404,20 @@ pub fn parse_frames(wire: &[WireByte]) -> Vec<Frame> {
 /// The reference run on continuous power, including the device's view.
 #[derive(Debug, Clone)]
 pub struct PeriphGolden {
-    /// `print` values in emission order.
-    pub prints: Vec<i32>,
+    /// The golden run as the fault oracle records it (events, exit
+    /// code, on-time span).
+    pub run: Golden,
     /// Valid telemetry frames on the golden wire (all attempt 0).
     pub frames: Vec<Frame>,
     /// Sensor readings the device served.
     pub served: Vec<ServedRead>,
-    /// Exit code of the completed run.
-    pub exit_code: i32,
-    /// On-time cycles — the fault-plan span.
-    pub on_cycles: u64,
 }
 
-/// One faulted replay with the device-side wire logs the oracle needs
-/// (the [`crate::fault::Trial`] shape, plus everything that persists on
-/// the far side of the pins).
+/// One faulted replay with the device-side wire logs the oracle needs.
 #[derive(Debug)]
 pub struct PeriphTrial {
-    /// How the executor finished (or the error it surfaced).
-    pub outcome: Result<RunOutcome, VmError>,
-    /// The run's recorded trace.
-    pub trace: Vec<TraceRecord>,
-    /// Power failures injected.
-    pub power_failures: u64,
-    /// Stores the brown-out model corrupted.
-    pub corrupted_writes: u64,
-    /// On-time cycles consumed.
-    pub cycles: u64,
+    /// The replay as the fault oracle records it.
+    pub run: Trial,
     /// Every byte the UART device saw, torn symbols included.
     pub uart_wire: Vec<WireByte>,
     /// Sensor readings the I2C device served (completed transactions).
@@ -488,106 +434,46 @@ fn prints_of(trace: &[TraceRecord]) -> Vec<i32> {
         .collect()
 }
 
-/// Runs `prog` under `system` on continuous power and records the
-/// golden trace plus the device-side logs.
+/// Runs `subject` on continuous power and records the golden trace plus
+/// the device-side logs.
 ///
 /// # Errors
 ///
 /// A golden run that does not finish, or that never prints, is a corpus
 /// or runtime bug, not a fault-injection result.
-pub fn periph_golden(prog: &Program, system: SystemUnderTest) -> Result<PeriphGolden, String> {
-    let mut m = Machine::new(prog.clone(), MachineConfig::default())
-        .map_err(|e| format!("golden load failed: {e}"))?;
-    let mut rt = make_runtime(system, prog);
-    let out = Executor::new()
-        .with_time_budget(30_000_000_000)
-        .run(&mut m, rt.as_mut(), &mut ContinuousPower::new());
-    match out {
-        Ok(RunOutcome::Finished(code)) => {
-            let prints = prints_of(m.trace().records());
-            if prints.is_empty() {
-                return Err("golden run printed nothing".to_string());
-            }
-            Ok(PeriphGolden {
-                prints,
-                frames: parse_frames(m.periph.uart.wire()),
-                served: m.periph.i2c.served().to_vec(),
-                exit_code: code,
-                on_cycles: m.cycles(),
-            })
-        }
-        Ok(other) => Err(format!("golden run did not finish: {other:?}")),
-        Err(e) => Err(format!("golden run trapped: {e}")),
+pub fn periph_golden(subject: &Subject) -> Result<PeriphGolden, String> {
+    let (run, device) = golden_device(subject)?;
+    if !run.events.iter().any(|e| matches!(e, Event::Print(_))) {
+        return Err("golden run printed nothing".to_string());
     }
+    let periph = &device.machine.periph;
+    Ok(PeriphGolden {
+        run,
+        frames: parse_frames(periph.uart.wire()),
+        served: periph.i2c.served().to_vec(),
+    })
 }
 
-/// Replays `prog` under `system` with power dying per `plan`, keeping
-/// the device-side wire logs for the oracle.
+/// Replays `subject` with power dying per `plan` (the fault oracle's
+/// replay), adding the trial's counters to `counters` and keeping the
+/// device-side wire logs for the oracle.
 #[must_use]
 pub fn run_periph_plan(
-    prog: &Program,
-    system: SystemUnderTest,
+    subject: &Subject,
     plan: &FaultPlan,
     budget_us: u64,
-    guard_boots: u64,
+    counters: &mut CellOutput,
 ) -> PeriphTrial {
-    let mut m = match Machine::new(prog.clone(), MachineConfig::default()) {
-        Ok(m) => m,
-        Err(e) => {
-            return PeriphTrial {
-                outcome: Err(e),
-                trace: Vec::new(),
-                power_failures: 0,
-                corrupted_writes: 0,
-                cycles: 0,
-                uart_wire: Vec::new(),
-                i2c_served: Vec::new(),
-            }
-        }
-    };
-    if let Some(c) = &plan.corruption {
-        m.mem.set_corruption(Some(
-            CorruptionModel::new(c.window, c.flip_prob, c.drop_prob, c.seed)
-                .with_sram_decay(c.sram_decay),
-        ));
-    }
-    let mut rt = make_runtime(system, prog);
-    let mut supply = AdversarialSupply::new(plan.clone());
-    // Same containment as `fault::run_plan`: corrupted state can drive
-    // the VM into a panic; judge it as a loud death, not a harness kill.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Executor::new()
-            .with_time_budget(budget_us)
-            .with_progress_guard(guard_boots)
-            .run(&mut m, rt.as_mut(), &mut supply)
-    }))
-    .unwrap_or_else(|payload| {
-        let text = payload
-            .downcast_ref::<&str>()
-            .map(ToString::to_string)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(VmError::Trap(format!("vm crashed on corrupted state: {text}")))
+    let (run, device) = counted_replay(subject, plan, budget_us, counters);
+    let (uart_wire, i2c_served) = device.map_or_else(Default::default, |d| {
+        let periph = &d.machine.periph;
+        (periph.uart.wire().to_vec(), periph.i2c.served().to_vec())
     });
     PeriphTrial {
-        outcome,
-        trace: m.trace().records().to_vec(),
-        power_failures: m.stats().power_failures,
-        corrupted_writes: m.mem.stats().corrupted_writes,
-        cycles: m.cycles(),
-        uart_wire: m.periph.uart.wire().to_vec(),
-        i2c_served: m.periph.i2c.served().to_vec(),
+        run,
+        uart_wire,
+        i2c_served,
     }
-}
-
-/// Adapter so the fault-plan span helper accepts a peripheral golden.
-#[must_use]
-pub fn periph_budget_us(golden: &PeriphGolden) -> u64 {
-    fault_budget_us(&Golden {
-        events: Vec::new(),
-        exit_code: golden.exit_code,
-        on_cycles: golden.on_cycles,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -775,7 +661,7 @@ pub fn judge_periph(
     }
 
     // --- app-level delivery stream ---
-    let prints = match decode_prints(workload, &trial.trace) {
+    let prints = match decode_prints(workload, &trial.run.trace) {
         Ok(p) => p,
         Err(detail) => return PeriphVerdict::Violation { detail },
     };
@@ -890,7 +776,7 @@ pub fn judge_periph(
     }
 
     // --- outcome ---
-    match &trial.outcome {
+    match &trial.run.outcome {
         Err(VmError::NoForwardProgress { boots, .. }) => {
             return PeriphVerdict::Livelock { boots: *boots }
         }
@@ -900,11 +786,11 @@ pub fn judge_periph(
             }
         }
         Ok(RunOutcome::Finished(code)) => {
-            if *code != golden.exit_code {
+            if *code != golden.run.exit_code {
                 return PeriphVerdict::Violation {
                     detail: format!(
                         "finished with exit {code}, golden exit is {}",
-                        golden.exit_code
+                        golden.run.exit_code
                     ),
                 };
             }
@@ -918,7 +804,7 @@ pub fn judge_periph(
         }
     }
 
-    if notes.is_clean() && trial.power_failures == 0 {
+    if notes.is_clean() && trial.run.power_failures == 0 {
         PeriphVerdict::Clean
     } else {
         PeriphVerdict::Recovered(notes)
@@ -965,12 +851,11 @@ pub struct PeriphReport {
     pub stale_drops: u64,
     /// Sensor serves no print consumed.
     pub orphan_serves: u64,
-    /// Power failures injected across all trials.
-    pub failures_injected: u64,
     /// Stores the brown-out model corrupted across all trials.
     pub corrupted_writes: u64,
-    /// On-time cycles simulated across all trials.
-    pub total_cycles: u64,
+    /// The trials' counters summed (cycles, checkpoints, restores,
+    /// power failures injected, undo appends, spans).
+    pub counters: CellOutput,
     /// Detail of the first violation, for the journal.
     pub first_violation: Option<String>,
     /// Wire-log exhibit of the first violating trial.
@@ -1045,9 +930,9 @@ pub fn wire_exhibit_json(
         .field("system", system.name())
         .field("detail", detail)
         .field("cuts", crate::fault::cuts_string(plan))
-        .field("power_failures", trial.power_failures)
-        .field("corrupted_writes", trial.corrupted_writes)
-        .field("prints", prints_of(&trial.trace))
+        .field("power_failures", trial.run.power_failures)
+        .field("corrupted_writes", trial.run.corrupted_writes)
+        .field("prints", prints_of(&trial.run.trace))
         .field("uart_wire_tail", Json::Arr(wire_tail))
         .field("frames", Json::Arr(frames))
         .field("i2c_served", Json::Arr(served))
@@ -1057,36 +942,33 @@ pub fn wire_exhibit_json(
 /// Runs `trials` seeded multi-cut plans (brown-out corruption at `rate`
 /// riding on every cut when `rate > 0`) and folds the detect-or-recover
 /// verdicts. Deterministic: same seed, same plans, same wire streams —
-/// golden and faulted runs share [`MachineConfig::default`], so the
+/// golden and faulted runs are devices of one [`Subject`], so the
 /// sensor serves the same reading series.
 #[must_use]
 pub fn run_periph_cell(
     workload: PeriphWorkload,
-    prog: &Program,
-    system: SystemUnderTest,
+    subject: &Subject,
     golden: &PeriphGolden,
     rate: f64,
     trials: usize,
     seed: u64,
 ) -> PeriphReport {
-    let budget = periph_budget_us(golden);
+    let budget = fault_budget_us(&golden.run);
     let mut report = PeriphReport::default();
     for i in 0..trials {
         let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let mut plan = FaultPlan::random(s, golden.on_cycles, 1 + i % 3, OFF_US);
+        let mut plan = FaultPlan::random(s, golden.run.on_cycles, 1 + i % 3, OFF_US);
         if rate > 0.0 {
             plan = plan.with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)));
         }
-        let trial = run_periph_plan(prog, system, &plan, budget, GUARD_BOOTS);
+        let trial = run_periph_plan(subject, &plan, budget, &mut report.counters);
         let verdict = judge_periph(workload, golden, &trial);
+        let trace = &trial.run.trace;
         report.trials += 1;
-        report.failures_injected += trial.power_failures;
-        report.corrupted_writes += trial.corrupted_writes;
-        report.total_cycles += trial.cycles;
-        report.retries += count_event(&trial.trace, |e| matches!(e, TraceEvent::TxnRetry { .. }));
-        report.txn_skips += count_event(&trial.trace, |e| matches!(e, TraceEvent::TxnSkip { .. }));
-        report.poisoned +=
-            count_event(&trial.trace, |e| matches!(e, TraceEvent::TxnPoisoned { .. }));
+        report.corrupted_writes += trial.run.corrupted_writes;
+        report.retries += count_event(trace, |e| matches!(e, TraceEvent::TxnRetry { .. }));
+        report.txn_skips += count_event(trace, |e| matches!(e, TraceEvent::TxnSkip { .. }));
+        report.poisoned += count_event(trace, |e| matches!(e, TraceEvent::TxnPoisoned { .. }));
         match &verdict {
             PeriphVerdict::Clean => report.clean += 1,
             PeriphVerdict::Recovered(n) => {
@@ -1101,8 +983,13 @@ pub fn run_periph_cell(
                 report.violations += 1;
                 if report.first_violation.is_none() {
                     report.first_violation = Some(detail.clone());
-                    report.wire_exhibit =
-                        Some(wire_exhibit_json(workload, system, &plan, &trial, detail));
+                    report.wire_exhibit = Some(wire_exhibit_json(
+                        workload,
+                        subject.system,
+                        &plan,
+                        &trial,
+                        detail,
+                    ));
                 }
             }
             PeriphVerdict::Livelock { .. } => report.livelocks += 1,
@@ -1196,26 +1083,40 @@ mod tests {
             .collect()
     }
 
-    fn sensor_golden() -> PeriphGolden {
+    /// A golden run that exits 0 (the only golden fact the oracle
+    /// reads besides the workload's own protocol).
+    fn golden() -> PeriphGolden {
         PeriphGolden {
-            prints: (1..=SENSOR_TXNS as i32).map(|id| id * 16384 + 100 + id).collect(),
+            run: Golden {
+                events: Vec::new(),
+                exit_code: 0,
+                on_cycles: 10_000,
+            },
             frames: Vec::new(),
-            served: served(&[101, 102, 103]),
-            exit_code: 0,
-            on_cycles: 10_000,
+            served: Vec::new(),
+        }
+    }
+
+    /// A finished one-reboot replay with the given print trace and
+    /// device-side logs.
+    fn trial(trace: Vec<TraceRecord>, uart_wire: Vec<WireByte>, serves: &[u16]) -> PeriphTrial {
+        PeriphTrial {
+            run: Trial {
+                outcome: Ok(RunOutcome::Finished(0)),
+                trace,
+                power_failures: 1,
+                torn_writes: 0,
+                corrupted_writes: 0,
+                recoveries: 0,
+                cycles: 5_000,
+            },
+            uart_wire,
+            i2c_served: served(serves),
         }
     }
 
     fn sensor_trial(trace: Vec<TraceRecord>, serves: &[u16]) -> PeriphTrial {
-        PeriphTrial {
-            outcome: Ok(RunOutcome::Finished(0)),
-            trace,
-            power_failures: 1,
-            corrupted_writes: 0,
-            cycles: 5_000,
-            uart_wire: Vec::new(),
-            i2c_served: served(serves),
-        }
+        trial(trace, Vec::new(), serves)
     }
 
     #[test]
@@ -1231,7 +1132,7 @@ mod tests {
         ];
         let v = judge_periph(
             PeriphWorkload::SensorLog,
-            &sensor_golden(),
+            &golden(),
             &sensor_trial(trace, &[101, 102, 103]),
         );
         match v {
@@ -1256,7 +1157,7 @@ mod tests {
         ];
         let v = judge_periph(
             PeriphWorkload::SensorLog,
-            &sensor_golden(),
+            &golden(),
             &sensor_trial(trace, &[101, 102]),
         );
         assert!(
@@ -1279,7 +1180,7 @@ mod tests {
         ];
         let v = judge_periph(
             PeriphWorkload::SensorLog,
-            &sensor_golden(),
+            &golden(),
             &sensor_trial(trace, &[101]),
         );
         match v {
@@ -1294,7 +1195,7 @@ mod tests {
         ];
         let v = judge_periph(
             PeriphWorkload::SensorLog,
-            &sensor_golden(),
+            &golden(),
             &sensor_trial(stale_then_fresh, &[101]),
         );
         assert!(matches!(v, PeriphVerdict::Violation { .. }), "got {v:?}");
@@ -1302,7 +1203,7 @@ mod tests {
         let same_boot = vec![print_rec(16384 + 101, 10), print_rec(-1, 20)];
         let v = judge_periph(
             PeriphWorkload::SensorLog,
-            &sensor_golden(),
+            &golden(),
             &sensor_trial(same_boot, &[101]),
         );
         assert!(matches!(v, PeriphVerdict::Violation { .. }), "got {v:?}");
@@ -1319,7 +1220,7 @@ mod tests {
         ];
         let v = judge_periph(
             PeriphWorkload::SensorLog,
-            &sensor_golden(),
+            &golden(),
             &sensor_trial(trace, &[101, 102, 103]),
         );
         assert!(matches!(v, PeriphVerdict::Violation { .. }), "got {v:?}");
@@ -1327,51 +1228,21 @@ mod tests {
 
     #[test]
     fn oracle_flags_duplicate_untagged_frame() {
-        let golden = PeriphGolden {
-            prints: vec![1],
-            frames: Vec::new(),
-            served: Vec::new(),
-            exit_code: 0,
-            on_cycles: 10_000,
-        };
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&frame_bytes(1, 0));
         bytes.extend_from_slice(&frame_bytes(1, 0)); // blind replay
-        let trial = PeriphTrial {
-            outcome: Ok(RunOutcome::Finished(0)),
-            trace: vec![print_rec(1, 10)],
-            power_failures: 1,
-            corrupted_writes: 0,
-            cycles: 5_000,
-            uart_wire: wire(&bytes),
-            i2c_served: Vec::new(),
-        };
-        let v = judge_periph(PeriphWorkload::Telemetry, &golden, &trial);
+        let trial = trial(vec![print_rec(1, 10)], wire(&bytes), &[]);
+        let v = judge_periph(PeriphWorkload::Telemetry, &golden(), &trial);
         assert!(matches!(v, PeriphVerdict::Violation { .. }), "got {v:?}");
     }
 
     #[test]
     fn oracle_accepts_attempt_tagged_retry() {
-        let golden = PeriphGolden {
-            prints: vec![1],
-            frames: Vec::new(),
-            served: Vec::new(),
-            exit_code: 0,
-            on_cycles: 10_000,
-        };
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&frame_bytes(1, 0));
         bytes.extend_from_slice(&frame_bytes(1, 1)); // tagged retry
-        let trial = PeriphTrial {
-            outcome: Ok(RunOutcome::Finished(0)),
-            trace: vec![print_rec(1, 10)],
-            power_failures: 1,
-            corrupted_writes: 0,
-            cycles: 5_000,
-            uart_wire: wire(&bytes),
-            i2c_served: Vec::new(),
-        };
-        let v = judge_periph(PeriphWorkload::Telemetry, &golden, &trial);
+        let trial = trial(vec![print_rec(1, 10)], wire(&bytes), &[]);
+        let v = judge_periph(PeriphWorkload::Telemetry, &golden(), &trial);
         match v {
             PeriphVerdict::Recovered(n) => assert_eq!(n.gaps, TELEMETRY_TXNS as u64 - 1),
             other => panic!("expected recovered, got {other:?}"),
@@ -1380,24 +1251,9 @@ mod tests {
 
     #[test]
     fn oracle_flags_stale_reqresp_payload() {
-        let golden = PeriphGolden {
-            prints: vec![256 + i32::from(Uart::respond(request_byte(1)))],
-            frames: Vec::new(),
-            served: Vec::new(),
-            exit_code: 0,
-            on_cycles: 10_000,
-        };
         let wrong = i32::from(Uart::respond(request_byte(2)));
-        let trial = PeriphTrial {
-            outcome: Ok(RunOutcome::Finished(0)),
-            trace: vec![print_rec(256 + wrong, 10)],
-            power_failures: 1,
-            corrupted_writes: 0,
-            cycles: 5_000,
-            uart_wire: Vec::new(),
-            i2c_served: Vec::new(),
-        };
-        let v = judge_periph(PeriphWorkload::ReqResp, &golden, &trial);
+        let trial = trial(vec![print_rec(256 + wrong, 10)], Vec::new(), &[]);
+        let v = judge_periph(PeriphWorkload::ReqResp, &golden(), &trial);
         assert!(matches!(v, PeriphVerdict::Violation { .. }), "got {v:?}");
     }
 
@@ -1409,11 +1265,23 @@ mod tests {
                     Ok(p) => p,
                     Err(_) => continue,
                 };
-                let golden = periph_golden(&prog, system)
+                let subject = Subject::load(&prog, system).unwrap();
+                let golden = periph_golden(&subject)
                     .unwrap_or_else(|e| panic!("{} x {}: {e}", workload.name(), system.name()));
-                assert_eq!(golden.exit_code, 0, "{} x {}", workload.name(), system.name());
                 assert_eq!(
-                    golden.prints.len(),
+                    golden.run.exit_code,
+                    0,
+                    "{} x {}",
+                    workload.name(),
+                    system.name()
+                );
+                let prints = golden
+                    .run
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, Event::Print(_)));
+                assert_eq!(
+                    prints.count(),
                     workload.txns() as usize,
                     "{} x {}",
                     workload.name(),
@@ -1421,11 +1289,10 @@ mod tests {
                 );
                 // The golden replay must judge itself clean.
                 let trial = run_periph_plan(
-                    &prog,
-                    system,
+                    &subject,
                     &FaultPlan::new(Vec::new(), OFF_US),
-                    periph_budget_us(&golden),
-                    GUARD_BOOTS,
+                    fault_budget_us(&golden.run),
+                    &mut CellOutput::default(),
                 );
                 let v = judge_periph(workload, &golden, &trial);
                 assert_eq!(
@@ -1453,22 +1320,15 @@ mod tests {
     fn hardened_tics_survives_an_adversarial_cut_burst() {
         let workload = PeriphWorkload::Telemetry;
         let prog = build_periph_program(workload, SystemUnderTest::Tics).unwrap();
-        let golden = periph_golden(&prog, SystemUnderTest::Tics).unwrap();
-        let report = run_periph_cell(
-            workload,
-            &prog,
-            SystemUnderTest::Tics,
-            &golden,
-            0.0,
-            8,
-            0x7E57_5EED,
-        );
+        let subject = Subject::load(&prog, SystemUnderTest::Tics).unwrap();
+        let golden = periph_golden(&subject).unwrap();
+        let report = run_periph_cell(workload, &subject, &golden, 0.0, 8, 0x7E57_5EED);
         assert_eq!(
             report.violations, 0,
             "tics violated: {:?}",
             report.first_violation
         );
-        assert!(report.failures_injected > 0);
+        assert!(report.counters.power_failures > 0);
     }
 
 

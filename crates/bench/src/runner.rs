@@ -1,12 +1,15 @@
-//! Common run plumbing: build an app for a system, execute it on a
-//! supply, and collect results.
+//! The default cell runner: build a sweep cell's app for its system,
+//! run it through the [`crate::trial`] pipeline on a supply, and report
+//! its counters.
 
-use tics_apps::{build_app, App, BuildError, SystemUnderTest};
+use tics_apps::build::{make_runtime, Scale};
+use tics_apps::build_app;
 use tics_clock::{CapacitorRtc, PerfectClock, Timekeeper, VolatileClock};
 use tics_energy::PowerSupply;
-use tics_minic::opt::OptLevel;
-use tics_trace::{SpanKind, TraceRecord};
-use tics_vm::{DispatchEngine, ExecStats, Executor, Machine, MachineConfig, RunOutcome, VmError};
+use tics_vm::{Executor, MachineConfig};
+
+use crate::sweep::{Cell, CellOutput};
+use crate::trial::Device;
 
 /// Which timekeeper the device carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,179 +45,59 @@ impl ClockKind {
     }
 }
 
-/// Configuration of one experimental run.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Workload scale (windows / inputs / keys / rounds).
-    pub scale: u32,
-    /// Optimization level.
-    pub opt: OptLevel,
-    /// Timekeeper.
-    pub clock: ClockKind,
-    /// Scripted sensor trace (shared — cloning a `RunConfig` or passing
-    /// the trace into a machine copies a pointer, not the samples).
-    pub sensor_trace: std::sync::Arc<[i32]>,
-    /// Total on-time budget (µs of cycles).
-    pub time_budget_us: u64,
-    /// Machine seed.
-    pub seed: u64,
-    /// Interpreter dispatch engine. Defaults from `TICS_VM_ENGINE`
-    /// (decoded unless the env var asks for the reference oracle), so a
-    /// whole experiment binary can be flipped without code changes.
-    pub engine: DispatchEngine,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            scale: 24,
-            opt: OptLevel::O2,
-            clock: ClockKind::Perfect,
-            sensor_trace: Vec::new().into(),
-            time_budget_us: 10_000_000_000,
-            seed: 0x5EED,
-            engine: DispatchEngine::from_env(),
-        }
-    }
-}
-
-/// The outcome of one run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// App name.
-    pub app: String,
-    /// System name.
-    pub system: String,
-    /// How the run ended (Display form).
-    pub outcome: String,
-    /// Exit code if finished.
-    pub exit_code: Option<i32>,
-    /// Cycles of on-time consumed.
-    pub cycles: u64,
-    /// Checkpoints committed.
-    pub checkpoints: u64,
-    /// Restores performed.
-    pub restores: u64,
-    /// Power failures experienced.
-    pub power_failures: u64,
-    /// Undo-log appends.
-    pub undo_appends: u64,
-    /// `.text` bytes of the built image.
-    pub text_bytes: u32,
-    /// `.data` bytes of the built image.
-    pub data_bytes: u32,
-    /// Cycles charged to each [`SpanKind`] (indexed by
-    /// [`SpanKind::index`]); sums to `cycles` by construction.
-    pub span_cycles: [u64; SpanKind::COUNT],
-    /// Full stats (not journaled).
-    pub stats: ExecStats,
-    /// The run's recorded trace (timeline events; detail events only if
-    /// the machine ran in detailed mode).
-    pub trace: Vec<TraceRecord>,
-}
-
-/// Builds and runs `app` under `system` on `supply`.
+/// The device `cell` denotes: its app built for its system at its opt
+/// level and scale, loaded with the app's standard sensor trace, with
+/// the system's runtime, the cell's seed and the cell's timekeeper.
 ///
 /// # Errors
 ///
-/// Returns [`BuildError`] for infeasible combinations; panics are
-/// reserved for harness bugs. VM-level traps surface as a `RunResult`
-/// with outcome `"error: …"` so sweeps can continue.
-pub fn run_app(
-    app: App,
-    system: SystemUnderTest,
-    config: &RunConfig,
-    supply: &mut dyn PowerSupply,
-) -> Result<RunResult, BuildError> {
-    let prog = build_app(
-        app,
-        system,
-        config.opt,
-        tics_apps::build::Scale(config.scale),
-    )?;
-    let text_bytes = prog.text_bytes();
-    let data_bytes = prog.data_bytes();
-    let mut machine = match Machine::with_clock(
-        prog.clone(),
-        MachineConfig {
-            sensor_trace: config.sensor_trace.clone(),
-            seed: config.seed,
-            ..MachineConfig::default()
-        },
-        config.clock.build(),
-    ) {
-        Ok(m) => m,
-        // A program that compiles but does not load (image too large,
-        // bad layout) is a data point, not a harness panic: report it
-        // as an error row so the surrounding sweep keeps going.
-        Err(e) => {
-            return Ok(RunResult {
-                app: app.name().to_string(),
-                system: system.name().to_string(),
-                outcome: format!("error: load failed under {}: {e}", system.name()),
-                exit_code: None,
-                cycles: 0,
-                checkpoints: 0,
-                restores: 0,
-                power_failures: 0,
-                undo_appends: 0,
-                text_bytes,
-                data_bytes,
-                span_cycles: [0; SpanKind::COUNT],
-                stats: ExecStats::default(),
-                trace: Vec::new(),
-            });
-        }
+/// Infeasible app × system × opt combinations, and programs that
+/// compile but do not load (image too large, bad layout), as text.
+pub fn cell_device(cell: &Cell) -> Result<Device, String> {
+    let prog =
+        build_app(cell.app, cell.system, cell.opt, Scale(cell.scale)).map_err(|e| e.to_string())?;
+    let runtime = make_runtime(cell.system, &prog);
+    let config = MachineConfig {
+        sensor_trace: cell.sensor_trace(),
+        seed: cell.seed,
+        ..MachineConfig::default()
     };
-    let mut runtime = tics_apps::build::make_runtime(system, &prog);
-    let exec = Executor::new()
-        .with_engine(config.engine)
-        .with_time_budget(config.time_budget_us);
-    let outcome: Result<RunOutcome, VmError> = exec.run(&mut machine, runtime.as_mut(), supply);
-    let (outcome_str, exit_code) = match &outcome {
-        Ok(RunOutcome::Finished(c)) => ("finished".to_string(), Some(*c)),
-        Ok(RunOutcome::OutOfEnergy) => ("out-of-energy".to_string(), None),
-        Ok(RunOutcome::BudgetExhausted) => ("budget-exhausted".to_string(), None),
-        Ok(RunOutcome::Starved { boots }) => (format!("starved after {boots} boots"), None),
-        Err(e) => (format!("error: {e}"), None),
-    };
-    let stats = machine.stats().clone();
-    Ok(RunResult {
-        app: app.name().to_string(),
-        system: system.name().to_string(),
-        outcome: outcome_str,
-        exit_code,
-        cycles: machine.cycles(),
-        checkpoints: stats.checkpoints,
-        restores: stats.restores,
-        power_failures: stats.power_failures,
-        undo_appends: stats.undo_log_appends,
-        text_bytes,
-        data_bytes,
-        span_cycles: machine.mem.span_cycles_all(),
-        stats,
-        trace: machine.trace().records().to_vec(),
+    Device::load(prog, &config, runtime, cell.clock.build())
+        .map_err(|e| format!("load failed under {}: {e}", cell.system.name()))
+}
+
+/// Runs `cell`'s device ([`cell_device`]) on `supply` within the cell's
+/// on-time budget and returns its counters plus the image's `.text` and
+/// `.data` sizes. VM-level traps surface as an `"error: …"` outcome so
+/// sweeps can continue.
+///
+/// # Errors
+///
+/// As [`cell_device`].
+pub fn run_app(cell: &Cell, supply: &mut dyn PowerSupply) -> Result<CellOutput, String> {
+    let mut device = cell_device(cell)?;
+    let outcome = device.run(
+        &Executor::new().with_time_budget(cell.time_budget_us),
+        supply,
+    );
+    let prog = &device.machine.loaded().program;
+    Ok(CellOutput {
+        text_bytes: prog.text_bytes(),
+        data_bytes: prog.data_bytes(),
+        ..device.counters(&outcome)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tics_apps::{App, SystemUnderTest};
     use tics_energy::ContinuousPower;
 
     #[test]
     fn runs_bc_under_tics_continuously() {
-        let cfg = RunConfig {
-            scale: 10,
-            ..RunConfig::default()
-        };
-        let r = run_app(
-            App::Bc,
-            SystemUnderTest::Tics,
-            &cfg,
-            &mut ContinuousPower::new(),
-        )
-        .unwrap();
+        let cell = Cell::new(App::Bc, SystemUnderTest::Tics).scale(10);
+        let r = run_app(&cell, &mut ContinuousPower::new()).unwrap();
         assert_eq!(r.outcome, "finished");
         assert!(r.exit_code.unwrap() > 0);
         assert!(r.cycles > 0);
@@ -222,18 +105,11 @@ mod tests {
         // Span-total identity: every cycle is attributed to exactly one
         // span, so the per-span totals sum back to the cycle counter.
         assert_eq!(r.span_cycles.iter().sum::<u64>(), r.cycles);
-        assert!(!r.trace.is_empty());
     }
 
     #[test]
     fn propagates_unsupported_combinations() {
-        let cfg = RunConfig::default();
-        assert!(run_app(
-            App::Bc,
-            SystemUnderTest::Chinchilla,
-            &cfg,
-            &mut ContinuousPower::new(),
-        )
-        .is_err());
+        let cell = Cell::new(App::Bc, SystemUnderTest::Chinchilla);
+        assert!(run_app(&cell, &mut ContinuousPower::new()).is_err());
     }
 }

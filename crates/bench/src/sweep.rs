@@ -40,7 +40,7 @@ use tics_trace::SpanKind;
 
 use crate::journal::{CellStatus, Journal, JournalRow};
 use crate::json::Json;
-use crate::runner::{run_app, ClockKind, RunConfig, RunResult};
+use crate::runner::{run_app, ClockKind};
 
 /// splitmix64 — the per-cell seed derivation. Small, well-mixed, and
 /// stable across platforms; also reused by the deterministic test
@@ -286,20 +286,6 @@ impl Cell {
     pub fn sensor_trace(&self) -> std::sync::Arc<[i32]> {
         standard_sensor_trace(self.app, self.scale)
     }
-
-    /// The [`RunConfig`] this cell denotes.
-    #[must_use]
-    pub fn run_config(&self) -> RunConfig {
-        RunConfig {
-            scale: self.scale,
-            opt: self.opt,
-            clock: self.clock,
-            sensor_trace: self.sensor_trace(),
-            time_budget_us: self.time_budget_us,
-            seed: self.seed,
-            ..RunConfig::default()
-        }
-    }
 }
 
 /// The standard scripted sensor trace for `app` at `scale` — shared by
@@ -315,7 +301,7 @@ pub fn standard_sensor_trace(app: App, scale: u32) -> std::sync::Arc<[i32]> {
 }
 
 /// What a cell runner hands back to the engine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellOutput {
     /// Outcome text (`finished`, `out-of-energy`, ...).
     pub outcome: String,
@@ -336,8 +322,9 @@ pub struct CellOutput {
     /// `.data` bytes.
     pub data_bytes: u32,
     /// Cycles charged to each [`SpanKind`], indexed by
-    /// [`SpanKind::index`] (zeros when the runner does not attribute).
-    pub spans: [u64; SpanKind::COUNT],
+    /// [`SpanKind::index`] (the journal's `spans` column; sums to
+    /// `cycles` for every runner that reports its devices' counters).
+    pub span_cycles: [u64; SpanKind::COUNT],
     /// Experiment-specific metrics appended to the journal row.
     pub extra: Vec<(String, Json)>,
 }
@@ -349,22 +336,40 @@ impl CellOutput {
         self.extra.push((key.to_string(), value.into()));
         self
     }
+
+    /// Adds `other`'s simulated counters — cycles, checkpoints,
+    /// restores, power failures, undo appends and spans — into this
+    /// output: how a cell of many device lives sums them into its row.
+    pub(crate) fn add_counters(&mut self, other: &CellOutput) {
+        self.cycles += other.cycles;
+        self.checkpoints += other.checkpoints;
+        self.restores += other.restores;
+        self.power_failures += other.power_failures;
+        self.undo_appends += other.undo_appends;
+        for (total, c) in self.span_cycles.iter_mut().zip(other.span_cycles) {
+            *total += c;
+        }
+    }
 }
 
-impl From<RunResult> for CellOutput {
-    fn from(r: RunResult) -> CellOutput {
-        CellOutput {
-            outcome: r.outcome,
-            exit_code: r.exit_code,
-            cycles: r.cycles,
-            checkpoints: r.checkpoints,
-            restores: r.restores,
-            power_failures: r.power_failures,
-            undo_appends: r.undo_appends,
-            text_bytes: r.text_bytes,
-            data_bytes: r.data_bytes,
-            spans: r.span_cycles,
-            extra: Vec::new(),
+/// An `ok` journal row carrying `out`; the engine fills in the cell's
+/// coordinates and timing.
+impl From<CellOutput> for JournalRow {
+    fn from(out: CellOutput) -> JournalRow {
+        JournalRow {
+            status: CellStatus::Ok,
+            outcome: out.outcome,
+            exit_code: out.exit_code,
+            cycles: out.cycles,
+            checkpoints: out.checkpoints,
+            restores: out.restores,
+            power_failures: out.power_failures,
+            undo_appends: out.undo_appends,
+            text_bytes: out.text_bytes,
+            data_bytes: out.data_bytes,
+            spans: out.span_cycles,
+            extra: out.extra,
+            ..JournalRow::default()
         }
     }
 }
@@ -649,7 +654,7 @@ impl Sweep {
     }
 
     /// Runs every cell through the default runner
-    /// ([`run_app`] with the cell's derived config and supply).
+    /// ([`run_app`] on the cell's supply).
     #[must_use]
     pub fn run(self) -> SweepOutcome {
         self.run_with(default_runner)
@@ -735,21 +740,7 @@ impl Sweep {
                             ),
                             ..JournalRow::default()
                         },
-                        Some(Ok(Ok(out))) => JournalRow {
-                            status: CellStatus::Ok,
-                            outcome: out.outcome,
-                            exit_code: out.exit_code,
-                            cycles: out.cycles,
-                            checkpoints: out.checkpoints,
-                            restores: out.restores,
-                            power_failures: out.power_failures,
-                            undo_appends: out.undo_appends,
-                            text_bytes: out.text_bytes,
-                            data_bytes: out.data_bytes,
-                            spans: out.spans,
-                            extra: out.extra,
-                            ..JournalRow::default()
-                        },
+                        Some(Ok(Ok(out))) => JournalRow::from(out),
                         Some(Ok(Err(e))) => JournalRow {
                             status: CellStatus::BuildError,
                             outcome: e,
@@ -821,23 +812,14 @@ impl Sweep {
     }
 }
 
-/// The default cell runner: build + run through [`run_app`] on the
-/// cell's supply.
+/// The default cell runner: [`run_app`] on the cell's supply.
 ///
 /// # Errors
 ///
 /// Infeasible app × system × opt combinations surface as `Err` (the
 /// journal's `build-error` rows).
 pub fn default_runner(cell: &Cell) -> Result<CellOutput, String> {
-    let mut supply = cell.supply.build(cell.seed);
-    run_app(
-        cell.app,
-        cell.system,
-        &cell.run_config(),
-        supply.as_mut(),
-    )
-    .map(CellOutput::from)
-    .map_err(|e| e.to_string())
+    run_app(cell, cell.supply.build(cell.seed).as_mut())
 }
 
 /// Loads reusable rows from a prior journal for `--resume`: a row is
@@ -913,7 +895,7 @@ fn write_journal(path: &PathBuf, rows: &[JournalRow]) -> Option<PathBuf> {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -5,6 +5,7 @@
 
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::fleet::{run_shard, FleetSpec, ShardStats};
+use tics_bench::journal::JournalRow;
 use tics_bench::sweep::cell_seed;
 use tics_bench::{Cell, CellOutput, ClockKind, SupplySpec, Sweep, SweepArgs};
 use tics_minic::opt::OptLevel;
@@ -56,6 +57,10 @@ fn shard_geometry_is_invisible_to_the_aggregate() {
     assert_eq!(full.checkpoints, halves.checkpoints);
     assert_eq!(full.instructions, halves.instructions);
     assert_eq!(full.cycles, halves.cycles);
+    assert_eq!(
+        full.counters.span_cycles, halves.counters.span_cycles,
+        "span vectors diverge"
+    );
     assert_eq!(full.reactive_us, halves.reactive_us, "reactive histograms diverge");
     assert_eq!(
         full.overhead_permille, halves.overhead_permille,
@@ -111,7 +116,8 @@ fn shard_aggregate_round_trips_through_journal_extra() {
     let spec = small_spec(SystemUnderTest::Tics);
     let stats = run_shard(&spec, 0, 15).expect("runs");
     assert_eq!(stats.devices, 15);
-    let restored = ShardStats::from_extra(&stats.to_extra()).expect("parses back");
+    let row = JournalRow::from(stats.to_output());
+    let restored = ShardStats::from_row(&row).expect("parses back");
     assert_eq!(restored, stats);
 }
 
@@ -154,13 +160,7 @@ fn fleet_sweeps_resume_from_shard_rows() {
         let spec = small_spec(cell.system);
         let first = u64::try_from(cell.param_i64("first_device")).unwrap();
         let count = u64::try_from(cell.param_i64("devices")).unwrap();
-        let stats = run_shard(&spec, first, count)?;
-        Ok(CellOutput {
-            outcome: "finished".into(),
-            cycles: stats.cycles,
-            extra: stats.to_extra(),
-            ..CellOutput::default()
-        })
+        Ok(run_shard(&spec, first, count)?.to_output())
     };
 
     let mut sweep = Sweep::new("fleet").args(args(false));
@@ -182,8 +182,8 @@ fn fleet_sweeps_resume_from_shard_rows() {
     // The reused rows still rebuild their aggregates.
     for (first_row, second_row) in first_run.rows.iter().zip(&second_run.rows) {
         assert_eq!(first_row.shard, second_row.shard);
-        let a = ShardStats::from_extra(&first_row.extra).expect("parses");
-        let b = ShardStats::from_extra(&second_row.extra).expect("parses");
+        let a = ShardStats::from_row(first_row).expect("parses");
+        let b = ShardStats::from_row(second_row).expect("parses");
         assert_eq!(a, b);
     }
 

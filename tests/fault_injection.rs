@@ -8,6 +8,7 @@ use tics_bench::fault::{
     build_fault_program, fault_budget_us, golden_run, judge, run_fault_cell, run_plan,
     FaultProgram, Strategy, Verdict, GUARD_BOOTS,
 };
+use tics_bench::trial::Subject;
 use tics_repro::apps::build::make_runtime;
 use tics_repro::apps::SystemUnderTest;
 
@@ -41,7 +42,8 @@ fn table5_consistency_column_holds_under_seeded_fault_plans() {
                 .unwrap_or_else(|e| panic!("{} golden run: {e}", system.name()));
             let claims = make_runtime(system, &prog).capabilities().memory_consistency;
 
-            let report = run_fault_cell(&prog, system, &golden, Strategy::Random, 10, seed);
+            let subject = Subject::load(&prog, system).expect("loads");
+            let report = run_fault_cell(&subject, &golden, Strategy::Random, 10, seed);
             assert_eq!(report.trials, 10, "{} ran every plan", system.name());
             cells += 1;
 
@@ -106,7 +108,8 @@ fn naive_divergence_is_reproducible_and_tics_survives_it() {
 
     let prog = build_fault_program(program, naive).expect("naive builds nv-accumulator");
     let golden = golden_run(&prog, naive).expect("naive golden run");
-    let report = run_fault_cell(&prog, naive, &golden, Strategy::Stride, 40, 1);
+    let subject = Subject::load(&prog, naive).expect("loads");
+    let report = run_fault_cell(&subject, &golden, Strategy::Stride, 40, 1);
     let violation = report
         .first_violation
         .as_ref()

@@ -3,19 +3,18 @@
 //! sum back to the machine's cycle counter — for every runtime, on both
 //! continuous and failing power.
 
-use tics_bench::runner::{run_app, ClockKind, RunConfig};
+use tics_bench::runner::{run_app, ClockKind};
+use tics_bench::Cell;
 use tics_repro::apps::{App, SystemUnderTest};
 use tics_repro::energy::{ContinuousPower, PeriodicTrace, PowerSupply};
 use tics_trace::SpanKind;
 
 fn check(app: App, system: SystemUnderTest, supply: &mut dyn PowerSupply) {
-    let cfg = RunConfig {
-        scale: 8,
-        clock: ClockKind::Perfect,
-        time_budget_us: 2_000_000_000,
-        ..RunConfig::default()
-    };
-    let Ok(r) = run_app(app, system, &cfg, supply) else {
+    let cell = Cell::new(app, system)
+        .scale(8)
+        .clock(ClockKind::Perfect)
+        .budget(2_000_000_000);
+    let Ok(r) = run_app(&cell, supply) else {
         // Infeasible app × system combinations (the paper's red
         // crosses) have nothing to attribute.
         return;
@@ -43,18 +42,10 @@ fn span_totals_equal_cycles_for_every_system() {
 
 #[test]
 fn tics_attributes_runtime_work_outside_the_app_span() {
-    let cfg = RunConfig {
-        scale: 8,
-        time_budget_us: 2_000_000_000,
-        ..RunConfig::default()
-    };
-    let r = run_app(
-        App::Bc,
-        SystemUnderTest::Tics,
-        &cfg,
-        &mut PeriodicTrace::new(100_000, 5_000),
-    )
-    .expect("BC builds under TICS");
+    let cell = Cell::new(App::Bc, SystemUnderTest::Tics)
+        .scale(8)
+        .budget(2_000_000_000);
+    let r = run_app(&cell, &mut PeriodicTrace::new(100_000, 5_000)).expect("BC builds under TICS");
     let spans = r.span_cycles;
     assert!(spans[SpanKind::App.index()] > 0, "{spans:?}");
     assert!(spans[SpanKind::Checkpoint.index()] > 0, "{spans:?}");
@@ -71,18 +62,10 @@ fn tics_attributes_runtime_work_outside_the_app_span() {
 
 #[test]
 fn plain_c_charges_everything_to_the_app() {
-    let cfg = RunConfig {
-        scale: 8,
-        time_budget_us: 2_000_000_000,
-        ..RunConfig::default()
-    };
-    let r = run_app(
-        App::Bc,
-        SystemUnderTest::PlainC,
-        &cfg,
-        &mut ContinuousPower::new(),
-    )
-    .expect("plain C builds");
+    let cell = Cell::new(App::Bc, SystemUnderTest::PlainC)
+        .scale(8)
+        .budget(2_000_000_000);
+    let r = run_app(&cell, &mut ContinuousPower::new()).expect("plain C builds");
     assert_eq!(r.span_cycles[SpanKind::App.index()], r.cycles);
     for k in SpanKind::ALL.iter().filter(|k| k.is_runtime()) {
         assert_eq!(r.span_cycles[k.index()], 0, "{k:?}");
