@@ -66,12 +66,7 @@ fn run_segment_size(cell: &Cell) -> Result<CellOutput, String> {
     if out.exit_code().is_none() {
         return Err(format!("did not finish: {out:?}"));
     }
-    // Only the undo-capacity curve journals undo appends.
-    Ok(CellOutput {
-        undo_appends: 0,
-        ..device.counters(&Ok(out))
-    }
-    .with("x", seg))
+    Ok(device.counters(&Ok(out)).with("x", seg))
 }
 
 fn run_undo_capacity(cell: &Cell) -> Result<CellOutput, String> {
@@ -117,7 +112,6 @@ fn run_checkpoint_policy(cell: &Cell) -> Result<CellOutput, String> {
     };
     Ok(CellOutput {
         outcome,
-        undo_appends: 0,
         ..device.counters(&Ok(out))
     })
 }
@@ -156,8 +150,6 @@ fn run_timekeeper_error(cell: &Cell) -> Result<CellOutput, String> {
     let v = count_violations(m.trace().records(), true);
     Ok(CellOutput {
         outcome: "finished-or-window".to_string(),
-        exit_code: None,
-        undo_appends: 0,
         ..device.counters(&Ok(out))
     }
     .with("violations", v.total())

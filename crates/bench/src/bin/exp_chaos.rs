@@ -9,25 +9,30 @@
 //! the older bank, or a declared fresh start), or it may trap loudly —
 //! but silently computing on garbage is a `corrupted-state` violation.
 //!
-//! Exit status is the robustness verdict: any system that claims
-//! memory consistency must show a 100% detect-or-recover rate, and the
-//! un-hardened naive checkpointer (the control) must demonstrably
-//! *fail* — if it stops failing, the corruption model has gone soft and
-//! the whole experiment is vacuous.
+//! Exit status is the gate's verdict (`tics_bench::gate`):
+//! `corrupted_state` is 0 on every consistency-claiming runtime, and
+//! above 0 on the un-hardened naive checkpointer, the control.
 //!
 //! `--quick` runs a reduced CI grid; `--threads N` / `--journal PATH` /
 //! `--cell-timeout-ms N` / `--resume` as usual.
 
-use tics_apps::build::make_runtime;
+use std::process::ExitCode;
+
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::fault::{
     build_fault_program, golden_device, run_chaos_cell, FaultProgram, CHAOS_WINDOW,
 };
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
-use tics_bench::trial::Subject;
+use tics_bench::gate::{self, Gate};
+use tics_bench::sweep::{Cell, Sweep, SweepArgs};
 use tics_bench::Json;
 
-fn main() {
+const GATE: Gate = Gate {
+    name: "chaos",
+    violation_key: "corrupted_state",
+    controls: &[SystemUnderTest::Mementos],
+};
+
+fn main() -> ExitCode {
     let args = SweepArgs::parse_env();
     let quick = args.rest.iter().any(|a| a == "--quick");
     println!(
@@ -62,7 +67,7 @@ fn main() {
     let rates: &[f64] = if quick { &[0.4] } else { &[0.15, 0.3, 0.5] };
     let trials = if quick { 16 } else { 32 };
 
-    let mut sweep = Sweep::new("chaos").args(args);
+    let mut sweep = Sweep::new(GATE.name).args(args);
     for &rate in rates {
         for &system in systems {
             for &p in programs {
@@ -83,152 +88,16 @@ fn main() {
             .param_value("rate")
             .and_then(Json::as_f64)
             .ok_or_else(|| "rate param missing".to_string())?;
-        let prog = match build_fault_program(program, cell.system) {
-            Ok(p) => p,
-            Err(reason) => {
-                return Ok(CellOutput {
-                    outcome: format!("unsupported: {reason}"),
-                    ..CellOutput::default()
-                }
-                .with("supported", false));
-            }
-        };
-        let subject = Subject::load(&prog, cell.system).map_err(|e| e.to_string())?;
-        let (golden, _) = golden_device(&subject)?;
-        let claims = make_runtime(cell.system, &prog)
-            .capabilities()
-            .memory_consistency;
-        let report = run_chaos_cell(&subject, &golden, rate, trials, cell.seed);
-        let mut out = CellOutput {
-            outcome: if report.corrupted_state > 0 {
-                format!("{} corrupted-state", report.corrupted_state)
-            } else {
-                "detect-or-recover".to_string()
+        gate::cell(
+            build_fault_program(program, cell.system),
+            cell.system,
+            |subject| {
+                let (golden, _) = golden_device(subject)?;
+                Ok(run_chaos_cell(subject, &golden, rate, trials, cell.seed).to_output())
             },
-            text_bytes: prog.text_bytes(),
-            data_bytes: prog.data_bytes(),
-            ..report.counters.clone()
-        }
-        .with("supported", true)
-        .with("claims_consistency", claims)
-        .with("trials", report.trials)
-        .with("consistent", report.consistent)
-        .with("detected", report.detected)
-        .with("corrupted_state", report.corrupted_state)
-        .with("clean_divergence", report.clean_divergence)
-        .with("livelocks", report.livelocks)
-        .with("incomplete", report.incomplete)
-        .with("corrupted_write_trials", report.corrupted_write_trials)
-        .with("corrupted_writes", report.corrupted_writes)
-        .with("recoveries", report.recoveries)
-        .with("detect_or_recover_rate", report.detect_or_recover_rate())
-        .with("mean_reboots_to_recover", report.mean_reboots_to_recover());
-        if let Some(d) = &report.first_corruption {
-            out = out.with("corruption_detail", d.as_str());
-        }
-        Ok(out)
+        )
     });
 
-    // ---- table ----
-    println!(
-        "\n{:<15} {:<11} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} {:>8}",
-        "program", "system", "rate", "trials", "ok", "die", "sick", "live", "hits", "d-or-r", "reboots"
-    );
-    let metric_u64 = |row: &tics_bench::journal::JournalRow, k: &str| {
-        row.metric(k).and_then(Json::as_u64).unwrap_or(0)
-    };
-    let mut matrix = Vec::new();
-    let mut claim_failures: Vec<String> = Vec::new();
-    let mut naive_corrupted_state = 0u64;
-    let mut naive_trials = 0u64;
-    for row in outcome.ok_rows() {
-        if row.metric("supported").and_then(Json::as_bool) != Some(true) {
-            println!("{:<15} {:<11} {}", row.app, row.system, row.outcome);
-            continue;
-        }
-        let rate = row.metric_f64("rate").unwrap_or(0.0);
-        let corrupted_state = metric_u64(row, "corrupted_state");
-        let claims = row.metric("claims_consistency").and_then(Json::as_bool) == Some(true);
-        println!(
-            "{:<15} {:<11} {:>5.2} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8.3} {:>8.2}",
-            row.app,
-            row.system,
-            rate,
-            metric_u64(row, "trials"),
-            metric_u64(row, "consistent"),
-            metric_u64(row, "detected"),
-            corrupted_state,
-            metric_u64(row, "livelocks"),
-            metric_u64(row, "corrupted_write_trials"),
-            row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
-            row.metric_f64("mean_reboots_to_recover").unwrap_or(0.0),
-        );
-        if claims && corrupted_state > 0 {
-            claim_failures.push(format!(
-                "{} x {} @ rate {rate}: {corrupted_state} corrupted-state trials — {}",
-                row.app,
-                row.system,
-                row.metric("corruption_detail")
-                    .and_then(Json::as_str)
-                    .unwrap_or("no detail"),
-            ));
-        }
-        if row.system == SystemUnderTest::Mementos.name() {
-            naive_corrupted_state += corrupted_state;
-            naive_trials += metric_u64(row, "trials");
-        }
-        matrix.push(
-            Json::obj()
-                .field("program", row.app.as_str())
-                .field("system", row.system.as_str())
-                .field("rate", rate)
-                .field("claims_consistency", claims)
-                .field("trials", metric_u64(row, "trials"))
-                .field("consistent", metric_u64(row, "consistent"))
-                .field("detected", metric_u64(row, "detected"))
-                .field("corrupted_state", corrupted_state)
-                .field("livelocks", metric_u64(row, "livelocks"))
-                .field(
-                    "corrupted_write_trials",
-                    metric_u64(row, "corrupted_write_trials"),
-                )
-                .field("recoveries", metric_u64(row, "recoveries"))
-                .field(
-                    "detect_or_recover_rate",
-                    row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
-                )
-                .field(
-                    "mean_reboots_to_recover",
-                    row.metric_f64("mean_reboots_to_recover").unwrap_or(0.0),
-                )
-                .build(),
-        );
-    }
-    println!("\n{}", outcome.summary);
-
-    tics_bench::write_json("chaos", &Json::Arr(matrix));
-
-    let mut failed = false;
-    if !claim_failures.is_empty() {
-        eprintln!("\nFAIL: consistency-claiming runtimes silently consumed corruption:");
-        for f in &claim_failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    if naive_corrupted_state == 0 {
-        eprintln!(
-            "\nFAIL: the un-hardened naive control produced no corrupted-state \
-             verdict in {naive_trials} trials — the corruption model is not biting"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "\nDetect-or-die holds: every consistency-claiming runtime healed or \
-         trapped on all corrupted checkpoints; the naive control silently \
-         corrupted {naive_corrupted_state} trials."
-    );
+    GATE.report(&outcome);
+    GATE.verdict(&outcome.rows, [])
 }

@@ -6,23 +6,29 @@
 //! replay with the idempotent-prefix oracle, and shrinks the first
 //! violation to a minimal cut set the journal can replay verbatim.
 //!
-//! Exit status is the verdict on Table 5's memory-consistency column:
-//! any system that *claims* consistency but diverges fails the build,
-//! and the headline demonstration — naive checkpointing diverges on a
-//! plan TICS survives — must reproduce.
+//! Exit status is the gate's verdict (`tics_bench::gate`: `violations`
+//! against naive MementOS as the control) plus the headline
+//! demonstration — naive checkpointing diverges on a plan TICS survives.
 //!
 //! `--quick` runs a reduced CI grid; `--threads N` as usual.
 
-use tics_apps::build::make_runtime;
+use std::process::ExitCode;
+
 use tics_apps::{App, SystemUnderTest};
 use tics_bench::fault::{
     build_fault_program, cuts_string, fault_budget_us, golden_device, golden_run, judge,
     parse_cuts, run_fault_cell, run_plan, FaultProgram, Strategy, Verdict, GUARD_BOOTS, OFF_US,
 };
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
-use tics_bench::trial::Subject;
-use tics_bench::Json;
+use tics_bench::gate::{self, Check, Gate};
+use tics_bench::journal::JournalRow;
+use tics_bench::sweep::{Cell, Sweep, SweepArgs};
 use tics_energy::FaultPlan;
+
+const GATE: Gate = Gate {
+    name: "fault",
+    violation_key: "violations",
+    controls: &[SystemUnderTest::Mementos],
+};
 
 fn strategy_from(name: &str) -> Strategy {
     Strategy::ALL
@@ -31,11 +37,47 @@ fn strategy_from(name: &str) -> Strategy {
         .unwrap_or(Strategy::Stride)
 }
 
-fn system_from(name: &str) -> Option<SystemUnderTest> {
-    SystemUnderTest::ALL.into_iter().find(|s| s.name() == name)
+/// The headline demonstration: the first shrunk naive-MementOS
+/// violation, replayed verbatim against TICS, must be survived.
+fn demo(rows: &[JournalRow]) -> Check {
+    let (naive, tics) = (SystemUnderTest::Mementos, SystemUnderTest::Tics);
+    let systems = format!("{} vs {}", tics.name(), naive.name());
+    let found = rows
+        .iter()
+        .filter(|r| r.system == naive.name())
+        .find_map(|row| {
+            let cuts = parse_cuts(row.metric("shrunk_cuts")?.as_str()?);
+            let plan = FaultPlan::new(cuts, row.metric_u64("off_us").unwrap_or(OFF_US));
+            Some((FaultProgram::from_name(&row.app)?, plan)).filter(|(_, p)| !p.cuts.is_empty())
+        });
+    let Some((program, plan)) = found else {
+        let missing = format!("a shrunk {} violation to replay", naive.name());
+        let why = vec!["no reproducible naive divergence found".to_string()];
+        return Check::new("demo", missing, "none".to_string(), 0, &systems, why);
+    };
+    let verdict = build_fault_program(program, tics).and_then(|prog| {
+        let golden = golden_run(&prog, tics)?;
+        let trial = run_plan(&prog, tics, &plan, fault_budget_us(&golden), GUARD_BOOTS);
+        Ok(judge(&golden, &trial))
+    });
+    let measured = match &verdict {
+        Ok(v) => v.label().to_string(),
+        Err(e) => format!("no replay: {e}"),
+    };
+    let why = match verdict {
+        Ok(Verdict::Consistent) => Vec::new(),
+        _ => vec!["TICS did not survive the shrunk naive-divergence plan".to_string()],
+    };
+    let threshold = format!(
+        "TICS consistent on {}'s shrunk {} plan, cuts [{}]",
+        naive.name(),
+        program.name(),
+        cuts_string(&plan)
+    );
+    Check::new("demo", threshold, measured, 1, &systems, why)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = SweepArgs::parse_env();
     let quick = args.rest.iter().any(|a| a == "--quick");
     println!("Fault injection: adversarial cut points vs the consistency oracle\n");
@@ -64,7 +106,7 @@ fn main() {
     };
     let (stride_trials, random_trials) = if quick { (40, 12) } else { (200, 64) };
 
-    let mut sweep = Sweep::new("fault").args(args);
+    let mut sweep = Sweep::new(GATE.name).args(args);
     for &p in programs {
         for &system in systems {
             for &strategy in strategies {
@@ -82,191 +124,21 @@ fn main() {
         let program = FaultProgram::from_name(cell.param_str("program"))
             .ok_or_else(|| "unknown corpus program".to_string())?;
         let strategy = strategy_from(cell.param_str("strategy"));
-        let prog = match build_fault_program(program, cell.system) {
-            Ok(p) => p,
-            Err(reason) => {
-                return Ok(CellOutput {
-                    outcome: format!("unsupported: {reason}"),
-                    ..CellOutput::default()
-                }
-                .with("supported", false));
-            }
-        };
-        let subject = Subject::load(&prog, cell.system).map_err(|e| e.to_string())?;
-        let (golden, _) = golden_device(&subject)?;
         let trials = match strategy {
             Strategy::Stride => stride_trials,
             Strategy::Random => random_trials,
             Strategy::Probe => 0, // probe brings its own period ladder
         };
-        let claims = make_runtime(cell.system, &prog)
-            .capabilities()
-            .memory_consistency;
-        let report = run_fault_cell(&subject, &golden, strategy, trials, cell.seed);
-        let mut out = CellOutput {
-            outcome: if report.violations > 0 {
-                format!("{} violations", report.violations)
-            } else {
-                "consistent".to_string()
+        gate::cell(
+            build_fault_program(program, cell.system),
+            cell.system,
+            |subject| {
+                let (golden, _) = golden_device(subject)?;
+                Ok(run_fault_cell(subject, &golden, strategy, trials, cell.seed).to_output())
             },
-            text_bytes: prog.text_bytes(),
-            data_bytes: prog.data_bytes(),
-            ..report.counters.clone()
-        }
-        .with("supported", true)
-        .with("claims_consistency", claims)
-        .with("golden_events", report.golden_events)
-        .with("golden_cycles", report.golden_cycles)
-        .with("trials", report.trials)
-        .with("consistent", report.consistent)
-        .with("divergent", report.divergent)
-        .with("wrong_exit", report.wrong_exit)
-        .with("incomplete", report.incomplete)
-        .with("livelocks", report.livelocks)
-        .with("errors", report.errors)
-        .with("violations", report.violations)
-        .with("torn_write_trials", report.torn_write_trials);
-        if let Some(v) = &report.first_violation {
-            out = out
-                .with("violation_verdict", v.verdict.as_str())
-                .with("violation_detail", v.detail.as_str())
-                .with("violation_cuts", cuts_string(&v.plan))
-                .with("shrunk_cuts", cuts_string(&v.shrunk))
-                .with("off_us", v.shrunk.off_us);
-        }
-        Ok(out)
+        )
     });
 
-    // ---- table ----
-    println!(
-        "\n{:<15} {:<11} {:<7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5}  shrunk cuts",
-        "program", "system", "strat", "trials", "ok", "div", "live", "torn", "viol"
-    );
-    let metric_u64 =
-        |row: &tics_bench::journal::JournalRow, k: &str| row.metric(k).and_then(Json::as_u64);
-    let metric_str = |row: &tics_bench::journal::JournalRow, k: &str| {
-        row.metric(k)
-            .and_then(Json::as_str)
-            .map(ToString::to_string)
-    };
-    let mut matrix = Vec::new();
-    let mut claim_failures: Vec<String> = Vec::new();
-    let mut naive_demo: Option<(FaultProgram, Vec<u64>, u64)> = None;
-    for row in outcome.ok_rows() {
-        let supported = row.metric("supported").and_then(Json::as_bool) == Some(true);
-        if !supported {
-            println!(
-                "{:<15} {:<11} {:<7} {}",
-                row.app, row.system, "-", row.outcome
-            );
-            continue;
-        }
-        let strategy = metric_str(row, "strategy").unwrap_or_default();
-        let violations = metric_u64(row, "violations").unwrap_or(0);
-        let shrunk = metric_str(row, "shrunk_cuts").unwrap_or_default();
-        println!(
-            "{:<15} {:<11} {:<7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5}  {}",
-            row.app,
-            row.system,
-            strategy,
-            metric_u64(row, "trials").unwrap_or(0),
-            metric_u64(row, "consistent").unwrap_or(0),
-            metric_u64(row, "divergent").unwrap_or(0),
-            metric_u64(row, "livelocks").unwrap_or(0),
-            metric_u64(row, "torn_write_trials").unwrap_or(0),
-            violations,
-            shrunk,
-        );
-        let claims = row.metric("claims_consistency").and_then(Json::as_bool) == Some(true);
-        if claims && violations > 0 {
-            claim_failures.push(format!(
-                "{} x {} ({strategy}): {violations} violations, cuts [{}] — {}",
-                row.app,
-                row.system,
-                shrunk,
-                metric_str(row, "violation_detail").unwrap_or_default(),
-            ));
-        }
-        // First shrunk naive divergence becomes the headline demo.
-        if naive_demo.is_none() && row.system == SystemUnderTest::Mementos.name() && violations > 0
-        {
-            if let (Some(p), Some(cuts)) = (
-                FaultProgram::from_name(&row.app),
-                metric_str(row, "shrunk_cuts").map(|s| parse_cuts(&s)),
-            ) {
-                if !cuts.is_empty() {
-                    let off = metric_u64(row, "off_us").unwrap_or(OFF_US);
-                    naive_demo = Some((p, cuts, off));
-                }
-            }
-        }
-        matrix.push(
-            Json::obj()
-                .field("program", row.app.as_str())
-                .field("system", row.system.as_str())
-                .field("strategy", strategy.as_str())
-                .field("claims_consistency", claims)
-                .field("trials", metric_u64(row, "trials").unwrap_or(0))
-                .field("violations", violations)
-                .field("livelocks", metric_u64(row, "livelocks").unwrap_or(0))
-                .field(
-                    "torn_write_trials",
-                    metric_u64(row, "torn_write_trials").unwrap_or(0),
-                )
-                .field("shrunk_cuts", shrunk.as_str())
-                .build(),
-        );
-    }
-    println!("\n{}", outcome.summary);
-
-    // ---- headline demo: naive diverges, TICS survives the same plan ----
-    let mut demo_ok = false;
-    if let Some((program, cuts, off_us)) = &naive_demo {
-        let plan = FaultPlan::new(cuts.clone(), *off_us);
-        let tics = system_from("TICS").expect("TICS is a system");
-        match build_fault_program(*program, tics).and_then(|prog| {
-            let golden = golden_run(&prog, tics)?;
-            Ok((
-                judge(
-                    &golden,
-                    &run_plan(&prog, tics, &plan, fault_budget_us(&golden), GUARD_BOOTS),
-                ),
-                golden,
-            ))
-        }) {
-            Ok((verdict, _)) => {
-                demo_ok = verdict == Verdict::Consistent;
-                println!(
-                    "\ndemo: naive-mementos diverges on {} with cuts [{}]; \
-                     TICS on the same plan: {}",
-                    program.name(),
-                    cuts_string(&plan),
-                    verdict.label(),
-                );
-            }
-            Err(e) => println!("\ndemo: TICS replay failed to build: {e}"),
-        }
-    }
-
-    tics_bench::write_json("fault", &Json::Arr(matrix));
-
-    let mut failed = false;
-    if !claim_failures.is_empty() {
-        eprintln!("\nFAIL: consistency-claiming runtimes violated the oracle:");
-        for f in &claim_failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    if naive_demo.is_none() {
-        eprintln!("\nFAIL: no reproducible naive-mementos divergence found");
-        failed = true;
-    } else if !demo_ok {
-        eprintln!("\nFAIL: TICS did not survive the shrunk naive-divergence plan");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("\nTable 5 memory-consistency column holds under adversarial fault injection.");
+    GATE.report(&outcome);
+    GATE.verdict(&outcome.rows, [demo(&outcome.rows)])
 }

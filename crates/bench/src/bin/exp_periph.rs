@@ -14,26 +14,36 @@
 //! are violations; explicit traps are acceptable detections; journaled
 //! retries, commit-window gaps, and stale-drops are counted recovery.
 //!
-//! Exit status is the robustness verdict: every system that claims
-//! memory consistency must show a 100% detect-or-recover rate, and the
-//! un-hardened controls (plain C and the naive checkpointer) must
-//! demonstrably *fail* — if they stop failing, the torn-wire model has
-//! gone soft and the experiment is vacuous. On a claim failure the
-//! offending cell's wire-level exhibit (last wire bytes, decoded
-//! frames, prints, served readings, cut schedule) lands in
+//! Exit status is the gate's verdict (`tics_bench::gate`): `violations`
+//! is 0 on every consistency-claiming runtime, and above 0 on each
+//! un-hardened control (plain C, the naive checkpointer). On a claim
+//! failure the offending cell's wire-level exhibit (last wire bytes,
+//! decoded frames, prints, served readings, cut schedule) lands in
 //! `results/periph_wire_<workload>_<system>[_rNN].json`.
 //!
 //! `--quick` runs a reduced CI grid; `--threads N` / `--journal PATH` /
 //! `--cell-timeout-ms N` / `--resume` as usual.
 
-use tics_apps::build::make_runtime;
+use std::process::ExitCode;
+
 use tics_apps::{App, SystemUnderTest};
+use tics_bench::gate::{self, Gate};
 use tics_bench::periph::{build_periph_program, periph_golden, run_periph_cell, PeriphWorkload};
-use tics_bench::sweep::{Cell, CellOutput, Sweep, SweepArgs};
-use tics_bench::trial::Subject;
+use tics_bench::sweep::{Cell, Sweep, SweepArgs};
 use tics_bench::Json;
 
-fn main() {
+const GATE: Gate = Gate {
+    name: "periph",
+    violation_key: "violations",
+    controls: &[SystemUnderTest::PlainC, SystemUnderTest::Mementos],
+};
+
+/// The corruption-rate coordinate of a cell's params or a row's `extra`.
+fn rate_of(fields: &[(String, Json)]) -> Option<f64> {
+    fields.iter().find(|(k, _)| k == "rate")?.1.as_f64()
+}
+
+fn main() -> ExitCode {
     let args = SweepArgs::parse_env();
     let quick = args.rest.iter().any(|a| a == "--quick");
     println!("Torn-wire peripherals vs the detect-or-recover oracle\n");
@@ -56,7 +66,7 @@ fn main() {
     let rates: &[f64] = if quick { &[0.0] } else { &[0.0, 0.3] };
     let trials = if quick { 8 } else { 24 };
 
-    let mut sweep = Sweep::new("periph").args(args);
+    let mut sweep = Sweep::new(GATE.name).args(args);
     for &rate in rates {
         for &system in systems {
             for &w in workloads {
@@ -73,188 +83,35 @@ fn main() {
     let outcome = sweep.run_with(|cell| {
         let workload = PeriphWorkload::from_name(cell.param_str("workload"))
             .ok_or_else(|| "unknown workload".to_string())?;
-        let rate = cell
-            .param_value("rate")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| "rate param missing".to_string())?;
-        let prog = match build_periph_program(workload, cell.system) {
-            Ok(p) => p,
-            Err(reason) => {
-                return Ok(CellOutput {
-                    outcome: format!("unsupported: {reason}"),
-                    ..CellOutput::default()
-                }
-                .with("supported", false));
-            }
-        };
-        let subject = Subject::load(&prog, cell.system).map_err(|e| e.to_string())?;
-        let golden = periph_golden(&subject)?;
-        let claims = make_runtime(cell.system, &prog)
-            .capabilities()
-            .memory_consistency;
-        let report = run_periph_cell(workload, &subject, &golden, rate, trials, cell.seed);
-        let mut out = CellOutput {
-            outcome: if report.violations > 0 {
-                format!("{} violations", report.violations)
-            } else {
-                "detect-or-recover".to_string()
+        let rate = rate_of(&cell.params).ok_or_else(|| "rate param missing".to_string())?;
+        gate::cell(
+            build_periph_program(workload, cell.system),
+            cell.system,
+            |subject| {
+                let golden = periph_golden(subject)?;
+                Ok(
+                    run_periph_cell(workload, subject, &golden, rate, trials, cell.seed)
+                        .to_output(),
+                )
             },
-            text_bytes: prog.text_bytes(),
-            data_bytes: prog.data_bytes(),
-            ..report.counters.clone()
-        }
-        .with("supported", true)
-        .with("claims_consistency", claims)
-        .with("trials", report.trials)
-        .with("clean", report.clean)
-        .with("recovered", report.recovered)
-        .with("detected", report.detected)
-        .with("violations", report.violations)
-        .with("livelocks", report.livelocks)
-        .with("incomplete", report.incomplete)
-        .with("retries", report.retries)
-        .with("txn_skips", report.txn_skips)
-        .with("poisoned", report.poisoned)
-        .with("replayed_prints", report.replayed_prints)
-        .with("gaps", report.gaps)
-        .with("stale_drops", report.stale_drops)
-        .with("orphan_serves", report.orphan_serves)
-        .with("corrupted_writes", report.corrupted_writes)
-        .with("detect_or_recover_rate", report.detect_or_recover_rate());
-        if let Some(d) = &report.first_violation {
-            out = out.with("violation_detail", d.as_str());
-        }
-        if let Some(e) = &report.wire_exhibit {
-            out = out.with("wire_exhibit", e.clone());
-        }
-        Ok(out)
+        )
     });
 
-    // ---- table ----
-    println!(
-        "\n{:<16} {:<11} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>6}",
-        "workload", "system", "rate", "trials", "ok", "rec", "det", "viol", "live", "retry", "skips", "d-or-r"
-    );
-    let metric_u64 = |row: &tics_bench::journal::JournalRow, k: &str| {
-        row.metric(k).and_then(Json::as_u64).unwrap_or(0)
-    };
-    let mut matrix = Vec::new();
-    let mut claim_failures: Vec<String> = Vec::new();
-    let mut control_violations: [(SystemUnderTest, u64); 2] = [
-        (SystemUnderTest::PlainC, 0),
-        (SystemUnderTest::Mementos, 0),
-    ];
-    let mut control_trials = 0u64;
-    for row in outcome.ok_rows() {
-        let workload = row.app.as_str();
-        if row.metric("supported").and_then(Json::as_bool) != Some(true) {
-            println!("{:<16} {:<11} {}", workload, row.system, row.outcome);
-            continue;
-        }
-        let rate = row.metric_f64("rate").unwrap_or(0.0);
-        let violations = metric_u64(row, "violations");
-        let claims = row.metric("claims_consistency").and_then(Json::as_bool) == Some(true);
-        println!(
-            "{:<16} {:<11} {:>5.2} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>6.3}",
-            workload,
-            row.system,
-            rate,
-            metric_u64(row, "trials"),
-            metric_u64(row, "clean"),
-            metric_u64(row, "recovered"),
-            metric_u64(row, "detected"),
-            violations,
-            metric_u64(row, "livelocks"),
-            metric_u64(row, "retries"),
-            metric_u64(row, "txn_skips"),
-            row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
-        );
-        if claims && violations > 0 {
-            claim_failures.push(format!(
-                "{workload} x {} @ rate {rate}: {violations} violations — {}",
-                row.system,
-                row.metric("violation_detail")
-                    .and_then(Json::as_str)
-                    .unwrap_or("no detail"),
-            ));
-            if let Some(exhibit) = row.metric("wire_exhibit") {
-                let tag = if rate > 0.0 {
-                    format!("_r{:02}", (rate * 100.0).round() as u32)
-                } else {
-                    String::new()
-                };
-                tics_bench::write_json(
-                    &format!("periph_wire_{workload}_{}{tag}", row.system),
-                    exhibit,
-                );
-            }
-        }
-        for (control, count) in &mut control_violations {
-            if row.system == control.name() {
-                *count += violations;
-                control_trials += metric_u64(row, "trials");
-            }
-        }
-        let mut entry = Json::obj()
-            .field("workload", workload)
-            .field("system", row.system.as_str())
-            .field("rate", rate)
-            .field("claims_consistency", claims)
-            .field("trials", metric_u64(row, "trials"))
-            .field("clean", metric_u64(row, "clean"))
-            .field("recovered", metric_u64(row, "recovered"))
-            .field("detected", metric_u64(row, "detected"))
-            .field("violations", violations)
-            .field("livelocks", metric_u64(row, "livelocks"))
-            .field("incomplete", metric_u64(row, "incomplete"))
-            .field("retries", metric_u64(row, "retries"))
-            .field("txn_skips", metric_u64(row, "txn_skips"))
-            .field("poisoned", metric_u64(row, "poisoned"))
-            .field("replayed_prints", metric_u64(row, "replayed_prints"))
-            .field("gaps", metric_u64(row, "gaps"))
-            .field("stale_drops", metric_u64(row, "stale_drops"))
-            .field("orphan_serves", metric_u64(row, "orphan_serves"))
-            .field(
-                "detect_or_recover_rate",
-                row.metric_f64("detect_or_recover_rate").unwrap_or(0.0),
+    GATE.report(&outcome);
+    // Only a claiming runtime's violation carries its exhibit to disk.
+    for row in outcome.ok_rows().filter(|r| gate::claims_consistency(r)) {
+        if let Some(exhibit) = row.metric("wire_exhibit") {
+            let rate = rate_of(&row.extra).unwrap_or(0.0);
+            let tag = if rate > 0.0 {
+                format!("_r{:02}", (rate * 100.0).round() as u32)
+            } else {
+                String::new()
+            };
+            tics_bench::write_json(
+                &format!("periph_wire_{}_{}{tag}", row.app, row.system),
+                exhibit,
             );
-        if let Some(d) = row.metric("violation_detail").and_then(Json::as_str) {
-            entry = entry.field("violation_detail", d);
         }
-        matrix.push(entry.build());
     }
-    println!("\n{}", outcome.summary);
-
-    tics_bench::write_json("periph", &Json::Arr(matrix));
-
-    let mut failed = false;
-    if !claim_failures.is_empty() {
-        eprintln!("\nFAIL: consistency-claiming runtimes replayed torn I/O:");
-        for f in &claim_failures {
-            eprintln!("  {f}");
-        }
-        failed = true;
-    }
-    let soft: Vec<String> = control_violations
-        .iter()
-        .filter(|(_, count)| *count == 0)
-        .map(|(control, _)| control.name().to_string())
-        .collect();
-    if !soft.is_empty() {
-        eprintln!(
-            "\nFAIL: un-hardened control(s) {} produced no torn-wire violation \
-             in {control_trials} control trials — the torn-wire model is not biting",
-            soft.join(", ")
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    let naive_total: u64 = control_violations.iter().map(|(_, c)| c).sum();
-    println!(
-        "\nDetect-or-recover holds: every consistency-claiming runtime kept its \
-         transactions exactly-once on the wire; the un-hardened controls \
-         replayed torn I/O in {naive_total} trials."
-    );
+    GATE.verdict(&outcome.rows, [])
 }

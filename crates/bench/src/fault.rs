@@ -1104,6 +1104,43 @@ pub struct CellReport {
     pub first_violation: Option<Violation>,
 }
 
+impl CellReport {
+    /// The report as its gate row: the outcome label, the verdict
+    /// tallies in journal order (the first violation's replayable cuts
+    /// last), and the summed trial counters.
+    #[must_use]
+    pub fn to_output(&self) -> CellOutput {
+        let mut out = CellOutput {
+            outcome: if self.violations > 0 {
+                format!("{} violations", self.violations)
+            } else {
+                "consistent".to_string()
+            },
+            ..self.counters.clone()
+        }
+        .with("golden_events", self.golden_events)
+        .with("golden_cycles", self.golden_cycles)
+        .with("trials", self.trials)
+        .with("consistent", self.consistent)
+        .with("divergent", self.divergent)
+        .with("wrong_exit", self.wrong_exit)
+        .with("incomplete", self.incomplete)
+        .with("livelocks", self.livelocks)
+        .with("errors", self.errors)
+        .with("violations", self.violations)
+        .with("torn_write_trials", self.torn_write_trials);
+        if let Some(v) = &self.first_violation {
+            out = out
+                .with("violation_verdict", v.verdict.as_str())
+                .with("violation_detail", v.detail.as_str())
+                .with("violation_cuts", cuts_string(&v.plan))
+                .with("shrunk_cuts", cuts_string(&v.shrunk))
+                .with("off_us", v.shrunk.off_us);
+        }
+        out
+    }
+}
+
 /// Runs every plan of `strategy` for one cell and judges each replay.
 #[must_use]
 pub fn run_fault_cell(
@@ -1233,6 +1270,50 @@ impl ChaosReport {
         }
         self.reboots_in_consistent as f64 / self.consistent as f64
     }
+
+    /// The report as its gate row: the outcome label, the
+    /// detect-or-die tallies in journal order, and the summed trial
+    /// counters.
+    #[must_use]
+    pub fn to_output(&self) -> CellOutput {
+        let out = CellOutput {
+            outcome: if self.corrupted_state > 0 {
+                format!("{} corrupted-state", self.corrupted_state)
+            } else {
+                "detect-or-recover".to_string()
+            },
+            ..self.counters.clone()
+        }
+        .with("trials", self.trials)
+        .with("consistent", self.consistent)
+        .with("detected", self.detected)
+        .with("corrupted_state", self.corrupted_state)
+        .with("clean_divergence", self.clean_divergence)
+        .with("livelocks", self.livelocks)
+        .with("incomplete", self.incomplete)
+        .with("corrupted_write_trials", self.corrupted_write_trials)
+        .with("corrupted_writes", self.corrupted_writes)
+        .with("recoveries", self.recoveries)
+        .with("detect_or_recover_rate", self.detect_or_recover_rate())
+        .with("mean_reboots_to_recover", self.mean_reboots_to_recover());
+        match &self.first_corruption {
+            Some(d) => out.with("corruption_detail", d.as_str()),
+            None => out,
+        }
+    }
+}
+
+/// The `i`-th seeded multi-cut plan of a chaos or torn-wire cell: one
+/// to three random cuts over `on_cycles` of on-time, with brown-out
+/// corruption at `rate` riding on every cut when `rate > 0`.
+pub(crate) fn multi_cut_plan(seed: u64, i: usize, on_cycles: u64, rate: f64) -> FaultPlan {
+    let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+    let plan = FaultPlan::random(s, on_cycles, 1 + i % 3, OFF_US);
+    if rate > 0.0 {
+        plan.with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)))
+    } else {
+        plan
+    }
 }
 
 /// Runs `trials` seeded multi-cut plans with brown-out corruption at
@@ -1249,9 +1330,7 @@ pub fn run_chaos_cell(
     let budget = fault_budget_us(golden);
     let mut report = ChaosReport::default();
     for i in 0..trials {
-        let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let plan = FaultPlan::random(s, golden.on_cycles, 1 + i % 3, OFF_US)
-            .with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)));
+        let plan = multi_cut_plan(seed, i, golden.on_cycles, rate);
         let (trial, _) = counted_replay(subject, &plan, budget, &mut report.counters);
         let verdict = judge(golden, &trial);
         report.trials += 1;

@@ -13,6 +13,8 @@
 //! | `exp_fig10`  | Figure 10 — user-study proxy (complexity + synthetic reviewers) |
 //! | `exp_ablations` | design-choice ablations beyond the paper |
 //! | `exp_fault`  | adversarial fault injection vs the crash-consistency oracle |
+//! | `exp_chaos`  | brown-out corruption vs the detect-or-die oracle |
+//! | `exp_periph` | torn-wire peripherals vs the detect-or-recover oracle |
 //! | `exp_profile` | Table 4 re-derived from attributed spans + Figure-9-style cycle breakdown + Chrome trace export |
 //!
 //! Every binary declares its cells as a [`sweep::Sweep`] grid, runs it
@@ -22,13 +24,15 @@
 //! per-cell record in `results/<exp>.jsonl` (`--journal PATH`
 //! overrides). The [`oracle`] module is the simulation's logic
 //! analyzer: it derives the paper's three time-consistency violation
-//! counts from ground-truth event timelines.
+//! counts from ground-truth event timelines, and the [`gate`] module is
+//! how the three robustness gates run, report and judge their grids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;
 pub mod fleet;
+pub mod gate;
 pub mod journal;
 pub mod json;
 pub mod oracle;

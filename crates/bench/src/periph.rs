@@ -35,18 +35,17 @@
 //! journal skips its replay.
 
 use tics_apps::SystemUnderTest;
-use tics_energy::{Corruption, FaultPlan};
+use tics_energy::FaultPlan;
 use tics_mcu::periph::{ServedRead, Uart, WireByte};
 use tics_minic::Program;
 use tics_trace::{TraceEvent, TraceRecord};
 use tics_vm::{RunOutcome, VmError};
 
 use crate::fault::{
-    build_for, fault_budget_us, golden_device, counted_replay, Event, Golden, Trial, CHAOS_WINDOW,
-    OFF_US,
+    build_for, counted_replay, fault_budget_us, golden_device, multi_cut_plan, Event, Golden, Trial,
 };
 use crate::json::Json;
-use crate::sweep::{splitmix64, CellOutput};
+use crate::sweep::CellOutput;
 use crate::trial::Subject;
 
 /// Telemetry frame header byte — the only value ≥ 0x80 a valid frame
@@ -872,6 +871,44 @@ impl PeriphReport {
         }
         1.0 - self.violations as f64 / self.trials as f64
     }
+
+    /// The report as its gate row: the outcome label, the
+    /// detect-or-recover tallies in journal order (the first violation's
+    /// wire exhibit last), and the summed trial counters.
+    #[must_use]
+    pub fn to_output(&self) -> CellOutput {
+        let mut out = CellOutput {
+            outcome: if self.violations > 0 {
+                format!("{} violations", self.violations)
+            } else {
+                "detect-or-recover".to_string()
+            },
+            ..self.counters.clone()
+        }
+        .with("trials", self.trials)
+        .with("clean", self.clean)
+        .with("recovered", self.recovered)
+        .with("detected", self.detected)
+        .with("violations", self.violations)
+        .with("livelocks", self.livelocks)
+        .with("incomplete", self.incomplete)
+        .with("retries", self.retries)
+        .with("txn_skips", self.txn_skips)
+        .with("poisoned", self.poisoned)
+        .with("replayed_prints", self.replayed_prints)
+        .with("gaps", self.gaps)
+        .with("stale_drops", self.stale_drops)
+        .with("orphan_serves", self.orphan_serves)
+        .with("corrupted_writes", self.corrupted_writes)
+        .with("detect_or_recover_rate", self.detect_or_recover_rate());
+        if let Some(d) = &self.first_violation {
+            out = out.with("violation_detail", d.as_str());
+        }
+        if let Some(e) = &self.wire_exhibit {
+            out = out.with("wire_exhibit", e.clone());
+        }
+        out
+    }
 }
 
 fn count_event(trace: &[TraceRecord], pred: impl Fn(&TraceEvent) -> bool) -> u64 {
@@ -956,11 +993,7 @@ pub fn run_periph_cell(
     let budget = fault_budget_us(&golden.run);
     let mut report = PeriphReport::default();
     for i in 0..trials {
-        let s = splitmix64(seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let mut plan = FaultPlan::random(s, golden.run.on_cycles, 1 + i % 3, OFF_US);
-        if rate > 0.0 {
-            plan = plan.with_corruption(Corruption::with_rate(CHAOS_WINDOW, rate, splitmix64(s)));
-        }
+        let plan = multi_cut_plan(seed, i, golden.run.on_cycles, rate);
         let trial = run_periph_plan(subject, &plan, budget, &mut report.counters);
         let verdict = judge_periph(workload, golden, &trial);
         let trace = &trial.run.trace;
@@ -1002,6 +1035,7 @@ pub fn run_periph_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::OFF_US;
     use tics_trace::I2cPhase;
 
     fn wire(bytes: &[(u8, bool)]) -> Vec<WireByte> {

@@ -19,7 +19,8 @@ use tics_energy::{Corruption, PowerSupply};
 use tics_mcu::CorruptionModel;
 use tics_minic::Program;
 use tics_vm::{
-    Executor, IntermittentRuntime, Machine, MachineConfig, MachineImage, RunOutcome, VmError,
+    Executor, IntermittentRuntime, Machine, MachineConfig, MachineImage, RunOutcome,
+    RuntimeCapabilities, VmError,
 };
 
 use crate::sweep::CellOutput;
@@ -145,6 +146,13 @@ impl Subject {
             image: MachineImage::build(prog.clone(), &MachineConfig::default())?,
             system,
         })
+    }
+
+    /// What the system's runtime declares it guarantees (its Table 5
+    /// row), for the program this subject runs.
+    #[must_use]
+    pub fn capabilities(&self) -> RuntimeCapabilities {
+        make_runtime(self.system, &self.image.loaded().program).capabilities()
     }
 
     /// A fresh device: the system's runtime, the default seed and a
