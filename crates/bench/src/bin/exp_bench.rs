@@ -25,7 +25,12 @@
 //!    since those are deterministic, `--check` fails tightly when a
 //!    cell's checkpoint traffic grows past its baseline — the guard
 //!    that keeps the dirty-word incremental imaging from silently
-//!    degrading back to full-image commits.
+//!    degrading back to full-image commits. `--check` prints one
+//!    `PASS`/`FAIL` line per check (per-cell speedup, per-cell
+//!    checkpoint traffic, geomean speedup) in the
+//!    [`tics_bench::gate::Check`] format: threshold, measured value
+//!    against the baseline, timed runs, cells; a failing line lists
+//!    each offending cell.
 //!
 //! Flags: `--quick` (reduced measurement time for CI), `--check`
 //! (compare against the committed baseline), `--out PATH` (baseline
@@ -42,6 +47,7 @@ use std::time::Instant;
 
 use tics_apps::SystemUnderTest;
 use tics_bench::fault::{build_fault_program, FaultProgram};
+use tics_bench::gate::{print_checks, Check};
 use tics_bench::periph::{build_periph_program, PeriphWorkload};
 use tics_bench::Json;
 use tics_energy::{ContinuousPower, PeriodicTrace, PowerSupply};
@@ -121,6 +127,7 @@ struct EngineRun {
     trace: Vec<TraceRecord>,
     /// Throughput over all repetitions.
     ips: f64,
+    runs: u32,
     runs_per_sec: f64,
 }
 
@@ -170,6 +177,7 @@ fn measure(prog: &Program, system: SystemUnderTest, supply: Supply, engine: Disp
         checkpoint_cycles,
         trace,
         ips: total_instructions as f64 / elapsed,
+        runs,
         runs_per_sec: f64::from(runs) / elapsed,
     }
 }
@@ -189,11 +197,15 @@ struct CellResult {
     decoded_ips: f64,
     reference_runs_per_sec: f64,
     decoded_runs_per_sec: f64,
+    /// Timed runs over both engines.
+    runs: u32,
     speedup: f64,
-    /// Whether the decoded engine can use its fused burst loop (no
-    /// per-instruction runtime hook). TICS keeps the hook, so its cells
-    /// are excluded from the headline "fast grid" speedup.
-    hook_free: bool,
+}
+
+impl CellResult {
+    fn label(&self) -> String {
+        format!("{}/{}/{}", self.program, self.system, self.supply)
+    }
 }
 
 fn geomean(values: impl Iterator<Item = f64>) -> f64 {
@@ -276,8 +288,8 @@ fn main() -> ExitCode {
                     decoded_ips: decoded.ips,
                     reference_runs_per_sec: reference.runs_per_sec,
                     decoded_runs_per_sec: decoded.runs_per_sec,
+                    runs: reference.runs + decoded.runs,
                     speedup: decoded.ips / reference.ips.max(1e-9),
-                    hook_free: system != SystemUnderTest::Tics,
                 });
             }
         }
@@ -325,16 +337,14 @@ fn main() -> ExitCode {
     println!("periph differential smoke: {periph_cells} cells, {mismatches} mismatches so far");
 
     let geomean_all = geomean(cells.iter().map(|c| c.speedup));
-    let geomean_fast = geomean(cells.iter().filter(|c| c.hook_free).map(|c| c.speedup));
     let min_speedup = cells.iter().map(|c| c.speedup).fold(f64::INFINITY, f64::min);
     let total_ckpt_bytes: u64 = cells.iter().map(|c| c.checkpoint_bytes).sum();
 
     println!(
-        "{} cells in {:.1}s | speedup geomean {:.2}x (hook-free grid {:.2}x), min {:.2}x | ckpt traffic {} B",
+        "{} cells in {:.1}s | speedup geomean {:.2}x, min {:.2}x | ckpt traffic {} B",
         cells.len(),
         sweep_started.elapsed().as_secs_f64(),
         geomean_all,
-        geomean_fast,
         min_speedup,
         total_ckpt_bytes,
     );
@@ -387,7 +397,6 @@ fn main() -> ExitCode {
                             .field("reference_cells_per_sec", c.reference_runs_per_sec)
                             .field("decoded_cells_per_sec", c.decoded_runs_per_sec)
                             .field("speedup", c.speedup)
-                            .field("hook_free", c.hook_free)
                             .build()
                     })
                     .collect(),
@@ -398,7 +407,6 @@ fn main() -> ExitCode {
             Json::obj()
                 .field("cells", cells.len())
                 .field("geomean_speedup", geomean_all)
-                .field("geomean_speedup_hook_free", geomean_fast)
                 .field("min_speedup", min_speedup)
                 .field("total_checkpoint_bytes", total_ckpt_bytes)
                 .build(),
@@ -408,18 +416,17 @@ fn main() -> ExitCode {
     // Results copy for artifact upload alongside the other experiments.
     tics_bench::write_json("bench_interpreter", &json);
 
-    let mut regressions = 0u32;
+    let mut regressions = 0usize;
     if check {
-        match std::fs::read_to_string(&out_path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(baseline) => regressions = check_against(&baseline, &cells),
-                Err(e) => {
-                    eprintln!("cannot parse baseline {out_path}: {e:?}");
-                    regressions = 1;
-                }
-            },
+        let baseline = std::fs::read_to_string(&out_path)
+            .map_err(|e| format!("cannot read baseline {out_path}: {e}"))
+            .and_then(|text| {
+                Json::parse(&text).map_err(|e| format!("cannot parse baseline {out_path}: {e:?}"))
+            });
+        match baseline {
+            Ok(baseline) => regressions = print_checks("bench", &check_against(&baseline, &cells)),
             Err(e) => {
-                eprintln!("cannot read baseline {out_path}: {e}");
+                eprintln!("{e}");
                 regressions = 1;
             }
         }
@@ -437,7 +444,7 @@ fn main() -> ExitCode {
     }
     if regressions > 0 {
         eprintln!(
-            "{regressions} cell(s) regressed against the baseline (speedup or checkpoint \
+            "{regressions} check(s) failed against the baseline (speedup or checkpoint \
              traffic; re-baseline with `cargo run --release -p tics-bench --bin exp_bench` \
              if intended)"
         );
@@ -446,14 +453,16 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Compares measured speedups against the committed baseline. Cells are
-/// matched by (program, system, supply); unmatched cells on either side
-/// are reported but only regressions fail.
-fn check_against(baseline: &Json, cells: &[CellResult]) -> u32 {
-    let Some(rows) = baseline.get("cells").and_then(Json::as_arr) else {
-        eprintln!("baseline has no cells array");
-        return 1;
-    };
+/// Judges the measured cells against the committed baseline: the
+/// per-cell speedup check, the per-cell checkpoint-traffic check and
+/// the geomean check, in that order. Cells are matched by (program,
+/// system, supply); a cell missing from the baseline is noted on
+/// stdout and left out of the per-cell checks.
+fn check_against(baseline: &Json, cells: &[CellResult]) -> Vec<Check> {
+    let rows = baseline
+        .get("cells")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
     let baseline_row = |c: &CellResult| -> Option<&Json> {
         rows.iter().find(|row| {
             row.get("program").and_then(Json::as_str) == Some(c.program)
@@ -461,64 +470,190 @@ fn check_against(baseline: &Json, cells: &[CellResult]) -> u32 {
                 && row.get("supply").and_then(Json::as_str) == Some(c.supply)
         })
     };
-    let mut regressions = 0u32;
+    let mut matched: Vec<(&CellResult, &Json)> = Vec::new();
     for c in cells {
-        let Some(row) = baseline_row(c) else {
-            println!("note: cell {}/{}/{} not in baseline", c.program, c.system, c.supply);
-            continue;
-        };
-        if let Some(base) = row.get("speedup").and_then(Json::as_f64) {
-            if c.speedup < base * CHECK_TOLERANCE {
-                eprintln!(
-                    "REGRESSION {}/{}/{}: speedup {:.2}x < {:.0}% of baseline {:.2}x",
-                    c.program,
-                    c.system,
-                    c.supply,
-                    c.speedup,
-                    CHECK_TOLERANCE * 100.0,
-                    base,
-                );
-                regressions += 1;
-            }
-        }
-        // Checkpoint traffic is simulated (deterministic), so the gate
-        // is tight. Cells whose baseline committed nothing are skipped —
-        // any growth there is caught by the pre-existing zero only if a
-        // baseline refresh records it.
-        if let Some(base_bytes) = row.get("checkpoint_bytes").and_then(Json::as_f64) {
-            if base_bytes > 0.0 && c.checkpoint_bytes as f64 > base_bytes * CKPT_BYTES_TOLERANCE {
-                eprintln!(
-                    "REGRESSION {}/{}/{}: checkpoint traffic {} B > {:.0}% of baseline {:.0} B",
-                    c.program,
-                    c.system,
-                    c.supply,
-                    c.checkpoint_bytes,
-                    CKPT_BYTES_TOLERANCE * 100.0,
-                    base_bytes,
-                );
-                regressions += 1;
-            }
+        match baseline_row(c) {
+            Some(row) => matched.push((c, row)),
+            None => println!("note: cell {} not in baseline", c.label()),
         }
     }
-    let base_geomean = baseline
+    let trials: u64 = matched.iter().map(|(c, _)| u64::from(c.runs)).sum();
+    let mut systems: Vec<&str> = matched.iter().map(|(c, _)| c.system).collect();
+    systems.sort_unstable();
+    systems.dedup();
+    let scope = format!("{} cells: {}", matched.len(), systems.join(", "));
+
+    // A per-cell rule: each cell's value against its baseline row's
+    // `key` (cells whose baseline is 0 are skipped: plain C commits no
+    // checkpoint bytes). A tolerance above 1 is a ceiling, below 1 a
+    // floor; the line's measured value is the cell closest to failing.
+    let per_cell = |rule: &str, key: &str, value: fn(&CellResult) -> f64, tolerance: f64| {
+        let ceiling = tolerance > 1.0;
+        let unit = |v: f64| {
+            if ceiling {
+                format!("{v:.0} B")
+            } else {
+                format!("{v:.2}x")
+            }
+        };
+        let mut worst: Option<(f64, String)> = None;
+        let mut failures = Vec::new();
+        for (c, row) in &matched {
+            let Some(base) = row.get(key).and_then(Json::as_f64).filter(|&b| b > 0.0) else {
+                continue;
+            };
+            let v = value(c);
+            let ratio = v / base;
+            let line = format!("{} {} vs baseline {}", c.label(), unit(v), unit(base));
+            let closer = |w: f64| if ceiling { ratio > w } else { ratio < w };
+            if worst.as_ref().is_none_or(|(w, _)| closer(*w)) {
+                worst = Some((ratio, line.clone()));
+            }
+            if closer(tolerance) {
+                failures.push(line);
+            }
+        }
+        let measured = match worst {
+            Some((_, line)) => format!("worst {line}"),
+            None => {
+                failures.push(format!("no cell has a baseline {key}"));
+                "nothing".to_string()
+            }
+        };
+        let op = if ceiling { "<=" } else { ">=" };
+        let threshold = format!(
+            "every cell's {key} {op} {:.0}% of its baseline",
+            tolerance * 100.0
+        );
+        Check::new(rule, threshold, measured, trials, &scope, failures)
+    };
+
+    let measured = geomean(cells.iter().map(|c| c.speedup));
+    let base = baseline
         .get("summary")
         .and_then(|s| s.get("geomean_speedup"))
         .and_then(Json::as_f64);
-    match base_geomean {
-        Some(base) => {
-            let measured = geomean(cells.iter().map(|c| c.speedup));
-            if measured < base * GEOMEAN_TOLERANCE {
-                eprintln!(
-                    "REGRESSION geomean: speedup {measured:.2}x < {:.0}% of baseline {base:.2}x",
-                    GEOMEAN_TOLERANCE * 100.0,
-                );
-                regressions += 1;
-            }
-        }
-        None => {
-            eprintln!("baseline has no summary.geomean_speedup");
-            regressions += 1;
+    let failures = match base {
+        Some(b) if measured >= b * GEOMEAN_TOLERANCE => Vec::new(),
+        Some(_) => vec![format!("{measured:.2}x is below the threshold")],
+        None => vec!["baseline has no summary.geomean_speedup".to_string()],
+    };
+    let base = base.unwrap_or(f64::NAN);
+    vec![
+        per_cell("speedup", "speedup", |c| c.speedup, CHECK_TOLERANCE),
+        // Simulated, hence deterministic: the tolerance is tight.
+        per_cell(
+            "checkpoint traffic",
+            "checkpoint_bytes",
+            |c| c.checkpoint_bytes as f64,
+            CKPT_BYTES_TOLERANCE,
+        ),
+        Check::new(
+            "geomean",
+            format!(
+                "geomean speedup >= {:.0}% of baseline {base:.2}x = {:.2}x",
+                GEOMEAN_TOLERANCE * 100.0,
+                base * GEOMEAN_TOLERANCE
+            ),
+            format!("{measured:.2}x vs baseline {base:.2}x"),
+            trials,
+            &scope,
+            failures,
+        ),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(program: &'static str, system: &'static str, speedup: f64, bytes: u64) -> CellResult {
+        CellResult {
+            program,
+            system,
+            supply: "periodic",
+            outcome: "Finished(0)".to_string(),
+            cycles: 1,
+            instructions: 1,
+            checkpoint_bytes: bytes,
+            checkpoint_cycles: 1,
+            reference_ips: 1.0,
+            decoded_ips: speedup,
+            reference_runs_per_sec: 1.0,
+            decoded_runs_per_sec: 1.0,
+            runs: 10,
+            speedup,
         }
     }
-    regressions
+
+    /// The baseline the synthetic cells are judged against: every cell
+    /// at 2x with 1,000 checkpoint bytes.
+    fn baseline(cells: &[CellResult]) -> Json {
+        let rows = cells
+            .iter()
+            .map(|c| {
+                Json::obj()
+                    .field("program", c.program)
+                    .field("system", c.system)
+                    .field("supply", c.supply)
+                    .field("speedup", 2.0)
+                    .field("checkpoint_bytes", 1_000u64)
+                    .build()
+            })
+            .collect();
+        Json::obj()
+            .field("cells", Json::Arr(rows))
+            .field("summary", Json::obj().field("geomean_speedup", 2.0).build())
+            .build()
+    }
+
+    #[test]
+    fn a_slow_cell_fails_the_speedup_check_and_is_named() {
+        let cells = [
+            cell("nv-accumulator", "TICS", 2.1, 1_000),
+            cell("big-state", "TICS", 0.9, 1_000),
+            cell("big-state", "Ratchet", 2.0, 1_050),
+        ];
+        let checks = check_against(&baseline(&cells), &cells);
+        assert_eq!(checks.len(), 3);
+        let speedup = &checks[0];
+        assert!(!speedup.pass);
+        assert!(
+            speedup.line.starts_with(
+                "FAIL speedup: every cell's speedup >= 50% of its baseline \
+                 | measured worst big-state/TICS/periodic 0.90x vs baseline 2.00x \
+                 | 30 trials | 3 cells: Ratchet, TICS"
+            ),
+            "{}",
+            speedup.line
+        );
+        let offenders: Vec<&str> = speedup.line.lines().skip(1).collect();
+        assert_eq!(
+            offenders,
+            ["    big-state/TICS/periodic 0.90x vs baseline 2.00x"]
+        );
+        assert!(checks[1].pass, "{}", checks[1].line);
+        assert!(checks[1]
+            .line
+            .contains("measured worst big-state/Ratchet/periodic 1050 B vs baseline 1000 B"));
+        // (2.1 * 0.9 * 2.0)^(1/3) = 1.56 < 0.85 * 2.0 = 1.70.
+        assert!(!checks[2].pass, "{}", checks[2].line);
+        assert!(checks[2]
+            .line
+            .contains("geomean speedup >= 85% of baseline 2.00x = 1.70x | measured 1.56x"));
+    }
+
+    #[test]
+    fn grown_checkpoint_traffic_fails_its_own_check() {
+        let cells = [
+            cell("nv-accumulator", "TICS", 2.0, 1_000),
+            cell("big-state", "MementOS", 2.0, 1_200),
+        ];
+        let checks = check_against(&baseline(&cells), &cells);
+        assert!(checks[0].pass && checks[2].pass);
+        assert!(!checks[1].pass);
+        assert!(checks[1]
+            .line
+            .ends_with("\n    big-state/MementOS/periodic 1200 B vs baseline 1000 B"));
+    }
 }

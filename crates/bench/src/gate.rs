@@ -250,22 +250,24 @@ impl Gate {
     /// gate's exit status: success only if every check passes.
     pub fn verdict(&self, rows: &[JournalRow], extra: impl IntoIterator<Item = Check>) -> ExitCode {
         let checks: Vec<Check> = self.checks(rows).into_iter().chain(extra).collect();
-        println!();
-        for check in &checks {
-            println!("{}", check.line);
-        }
-        let passed = checks.iter().filter(|c| c.pass).count();
-        println!(
-            "\ngate {}: {passed} of {} checks passed",
-            self.name,
-            checks.len()
-        );
-        if passed == checks.len() {
+        if print_checks(self.name, &checks) == 0 {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Prints each check's line, then `gate <name>: N of M checks passed`,
+/// and returns how many checks failed.
+pub fn print_checks(name: &str, checks: &[Check]) -> usize {
+    println!();
+    for check in checks {
+        println!("{}", check.line);
+    }
+    let passed = checks.iter().filter(|c| c.pass).count();
+    println!("\ngate {name}: {passed} of {} checks passed", checks.len());
+    checks.len() - passed
 }
 
 /// One judged rule of a gate.

@@ -593,6 +593,20 @@ impl IntermittentRuntime for TicsRuntime {
         Ok(())
     }
 
+    /// The timer deadline, unless a shrink checkpoint is pending or an
+    /// `@expires` block is armed: its expiry is read off the time
+    /// keeper, not the cycle counter, so the hook then runs every
+    /// instruction.
+    fn next_hook_at(&self) -> u64 {
+        if self.pending_shrink_ckpt || self.expires_block.is_some() {
+            0
+        } else if self.config.timer_period_us.is_some() {
+            self.next_timer_at
+        } else {
+            u64::MAX
+        }
+    }
+
     fn on_power_failure(&mut self, _m: &mut Machine) {
         self.expires_block = None;
         self.pending_shrink_ckpt = false;

@@ -161,7 +161,8 @@ fn mark_word_dirty(bits: &mut [u64], off: usize) {
 }
 
 /// Sets the dirty bits for every word a store of `len` bytes at
-/// region-relative byte offset `off` touches.
+/// region-relative byte offset `off` touches, 64 words per limb: a mask
+/// into the first and last limb of the range and whole limbs between.
 #[inline]
 fn mark_dirty_bits(bits: &mut [u64], off: u32, len: u32) {
     if len == 0 {
@@ -169,8 +170,15 @@ fn mark_dirty_bits(bits: &mut [u64], off: u32, len: u32) {
     }
     let first = (off / 4) as usize;
     let last = ((off + len - 1) / 4) as usize;
-    for w in first..=last {
-        bits[w >> 6] |= 1u64 << (w & 63);
+    let (fl, ll) = (first >> 6, last >> 6);
+    let head = !0u64 << (first & 63);
+    let tail = !0u64 >> (63 - (last & 63));
+    if fl == ll {
+        bits[fl] |= head & tail;
+    } else {
+        bits[fl] |= head;
+        bits[fl + 1..ll].fill(!0);
+        bits[ll] |= tail;
     }
 }
 
@@ -233,7 +241,11 @@ fn unit(x: u64) -> f64 {
 /// [`Memory::for_each_dirty_word`] to build incremental checkpoints and
 /// clear the words they imaged with [`Memory::clear_dirty`]. The
 /// monitor is pure bookkeeping: it charges no cycles, perturbs no
-/// statistics, and the corruption RNG stream never sees it.
+/// statistics, and the corruption RNG stream never sees it. Its host
+/// cost is word-parallel too: the bitmap packs 64 words per `u64`
+/// limb, and a multi-word store ORs a mask into the first and last
+/// limb it touches and fills the limbs between, so a 12 KB bank image
+/// is 48 limb writes, not 3,072 bit sets.
 #[derive(Debug, Clone)]
 pub struct Memory {
     layout: MemoryLayout,
@@ -1890,6 +1902,58 @@ mod tests {
     fn dirty_bitmap_exactly_covers_changed_words() {
         for seed in [1, 42, 0xDEAD_BEEF, 7_777_777] {
             dirty_bitmap_property(seed);
+        }
+    }
+
+    /// The one-bit-per-word rule [`mark_dirty_bits`] must reproduce.
+    fn mark_dirty_bits_per_word(bits: &mut [u64], off: u32, len: u32) {
+        if len == 0 {
+            return;
+        }
+        for w in (off / 4) as usize..=((off + len - 1) / 4) as usize {
+            bits[w >> 6] |= 1u64 << (w & 63);
+        }
+    }
+
+    #[test]
+    fn limb_masks_match_the_per_word_rule() {
+        let region = MemoryLayout::default().fram.len();
+        let limbs = dirty_len(region);
+        let mut cases: Vec<(u32, u32)> = vec![(0, 0), (0, region), (100, 0)];
+        // Ranges starting or ending on a 64-word (256-byte) boundary,
+        // with aligned and unaligned byte ends.
+        for k in [0u32, 1, 7, 63] {
+            for len in [1u32, 3, 4, 255, 256, 257, 1024, 12 * 1024] {
+                let start = k * 256;
+                cases.push((start, len));
+                cases.push((start + 1, len));
+                if start + 256 >= len {
+                    cases.push((start + 256 - len, len));
+                }
+            }
+        }
+        let mut rng = 0x5EED_D1B7_u64;
+        for _ in 0..2_000 {
+            let off = (splitmix64(&mut rng) % u64::from(region)) as u32;
+            let room = u64::from(region - off);
+            // Mostly short stores, some bank-sized ones.
+            let cap = if splitmix64(&mut rng).is_multiple_of(4) {
+                room
+            } else {
+                room.min(64)
+            };
+            let len = (splitmix64(&mut rng) % (cap + 1)) as u32;
+            cases.push((off, len));
+        }
+        for (off, len) in cases {
+            // A few stray bits must survive the OR.
+            let mut fast = vec![0u64; limbs];
+            fast[0] = 0b1010;
+            fast[limbs - 1] = 1 << 40;
+            let mut slow = fast.clone();
+            mark_dirty_bits(&mut fast, off, len);
+            mark_dirty_bits_per_word(&mut slow, off, len);
+            assert_eq!(fast, slow, "off {off} len {len}");
         }
     }
 

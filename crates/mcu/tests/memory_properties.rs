@@ -180,3 +180,40 @@ fn cycles_are_monotone() {
         }
     }
 }
+
+/// A bank-sized poke marks exactly the words the per-word rule names:
+/// every word from `off / 4` through `(off + len - 1) / 4`, and no
+/// other, whatever the store's alignment against the 64-word limbs of
+/// the bitmap.
+#[test]
+fn bank_sized_poke_marks_exactly_its_words() {
+    const LEN: u32 = 12 * 1024;
+    for case in 0..CASES {
+        let mut rng = Rng(0x0DD0_0000 + case);
+        let off = match case {
+            0 => 0,
+            1 => 256,
+            _ => rng.range(0, 40 * 1024) as u32,
+        };
+        let mut m = mem();
+        m.poke_bytes(fram_addr(off), &vec![0x5A; LEN as usize])
+            .unwrap();
+        let expected: Vec<Addr> = (off / 4..=(off + LEN - 1) / 4)
+            .map(|w| fram_addr(4 * w))
+            .collect();
+        let fram = MemoryLayout::default().fram;
+        assert_eq!(
+            m.count_dirty_words(fram.start, fram.len()),
+            expected.len() as u32,
+            "case {case}"
+        );
+        let mut seen = Vec::new();
+        m.for_each_dirty_word(fram.start, fram.len(), |a| seen.push(a));
+        assert_eq!(seen, expected, "case {case}");
+        assert_eq!(
+            m.count_dirty_words(fram_addr(off), LEN),
+            expected.len() as u32,
+            "case {case}"
+        );
+    }
+}

@@ -270,20 +270,28 @@ impl Executor {
                 {
                     return Ok(RunOutcome::BudgetExhausted);
                 }
+                let mut warned = false;
                 if let Some(warn_at) = warn_at {
                     if !voltage_fired && m.cycles() >= warn_at {
                         voltage_fired = true;
+                        warned = true;
                         rt.checkpoint(m, CheckpointKind::Voltage)?;
                     }
                 }
                 match mode {
                     PeriodMode::Reference => step(m, rt)?,
-                    PeriodMode::Safe {
-                        ref decoded,
-                        isr,
-                        hook,
-                    } => step_decoded_safe(m, rt, decoded, isr, hook)?,
-                    PeriodMode::Fast { ref decoded } => {
+                    PeriodMode::Safe { ref decoded, hook } => {
+                        step_decoded_safe(m, rt, decoded, hook)?;
+                    }
+                    PeriodMode::Fast { ref decoded, hook } if warned => {
+                        // Like every engine, step one instruction after
+                        // the comparator's checkpoint, even if that
+                        // checkpoint ran past the deadline (the burst
+                        // would stop before it). No ISR is armed, so the
+                        // stepper's ISR poll is a no-op.
+                        step_decoded_safe(m, rt, decoded, hook)?;
+                    }
+                    PeriodMode::Fast { ref decoded, hook } => {
                         // The burst runs until the nearest stop boundary;
                         // the outer checks above are idempotent and
                         // disambiguate which one fired.
@@ -293,7 +301,7 @@ impl Executor {
                                 stop_at = stop_at.min(w);
                             }
                         }
-                        run_burst(m, rt, decoded, stop_at, self.max_instructions)?;
+                        run_burst(m, rt, decoded, stop_at, self.max_instructions, hook)?;
                     }
                 }
             }
@@ -335,17 +343,20 @@ impl Executor {
 enum PeriodMode {
     /// The original interpreter (engine override or failed boot check).
     Reference,
-    /// Decoded plain ops, with the ISR poll and/or the per-instruction
-    /// runtime hook between every two instructions. No fusion: the hook
-    /// may observe or redirect the machine at every boundary.
+    /// An ISR is armed: decoded plain ops one at a time, with the ISR
+    /// poll before and (when `hook`) the runtime hook after every
+    /// instruction. No fusion: the ISR may fire at any boundary.
     Safe {
         decoded: Arc<DecodedProgram>,
-        isr: bool,
         hook: bool,
     },
-    /// Decoded ops with superinstructions in an uninterrupted burst loop
-    /// — no ISR, no instruction hook.
-    Fast { decoded: Arc<DecodedProgram> },
+    /// Decoded ops with superinstructions in the burst loop. With
+    /// `hook`, each burst also stops at the runtime's next hook
+    /// deadline ([`IntermittentRuntime::next_hook_at`]).
+    Fast {
+        decoded: Arc<DecodedProgram>,
+        hook: bool,
+    },
 }
 
 impl Executor {
@@ -358,12 +369,11 @@ impl Executor {
             return PeriodMode::Reference;
         }
         let decoded = m.loaded().decoded.clone();
-        let isr = m.has_isr();
         let hook = rt.instruction_hook();
-        if isr || hook {
-            PeriodMode::Safe { decoded, isr, hook }
+        if m.has_isr() {
+            PeriodMode::Safe { decoded, hook }
         } else {
-            PeriodMode::Fast { decoded }
+            PeriodMode::Fast { decoded, hook }
         }
     }
 }
@@ -926,6 +936,14 @@ fn exec_plain(m: &mut Machine, op: Op) -> Result<()> {
 /// superinstructions) until a stop boundary — period deadline, voltage
 /// warning, budget — or a halt via a `Ref` op.
 ///
+/// With `hook`, the runtime's per-instruction hook runs after exactly
+/// the instructions where the reference interpreter's call could do
+/// work: each fast zone also stops at [`IntermittentRuntime::next_hook_at`]
+/// (asked afresh after every `Ref` op and every hook call, the only
+/// points its answer can change), and the hook runs at the boundary
+/// where the zone stopped if the deadline was reached. A deadline that
+/// is already due steps one plain op at a time, hook after each.
+///
 /// Non-`Ref` stretches execute inside a *fast zone*: a
 /// [`WordBurst`](tics_mcu::WordBurst) view over the memory keeps the
 /// cycle and traffic counters in locals (registers), and the
@@ -939,6 +957,7 @@ fn run_burst(
     dp: &DecodedProgram,
     stop_at: u64,
     max_instr: u64,
+    hook: bool,
 ) -> Result<()> {
     loop {
         if m.cycles() >= stop_at || m.stats().instructions >= max_instr {
@@ -951,11 +970,19 @@ fn run_burst(
         if let Op::Ref = op {
             // Calls, returns, syscalls, runtime-mediated instructions,
             // and everything in unverified functions. Fast mode has no
-            // ISR, so the skipped `maybe_fire_isr` is a no-op.
+            // ISR, so the skipped `maybe_fire_isr` is a no-op. Includes
+            // the hook call at its end, like the reference step.
             step_after_isr(m, rt)?;
             if m.is_halted() {
                 return Ok(());
             }
+            continue;
+        }
+        let hook_at = if hook { rt.next_hook_at() } else { u64::MAX };
+        if m.cycles() >= hook_at {
+            // Hook due after this instruction: one safe step (its ISR
+            // poll is a no-op here).
+            step_decoded_safe(m, rt, dp, true)?;
             continue;
         }
         let data_base = m.data_base().raw();
@@ -964,12 +991,21 @@ fn run_burst(
         let res = {
             let (mem, regs) = m.burst_parts();
             let mut bm = mem.word_burst();
-            let r = fast_zone(&mut bm, regs, dp, data_base, stop_at, instr_left, &mut instr);
+            let zone_stop = stop_at.min(hook_at);
+            let r = fast_zone(
+                &mut bm, regs, dp, data_base, zone_stop, instr_left, &mut instr,
+            );
             bm.commit();
             r
         };
         m.stats_mut().instructions += instr;
         res?;
+        // The zone ran at least one instruction (the op at `pc` is
+        // plain and no stop was due), and stopped right after the first
+        // one that reached `hook_at`, if any.
+        if m.cycles() >= hook_at {
+            rt.on_instruction(m)?;
+        }
     }
 }
 
@@ -1172,21 +1208,17 @@ fn exec_burst(
 }
 
 /// The safe-mode stepper: one decoded plain op per call, with the ISR
-/// poll and/or the runtime's per-instruction hook at exactly the points
-/// the reference interpreter has them. Used whenever a runtime does real
-/// work in `on_instruction` (TICS timer checkpoints, expiration timers)
-/// or the machine has a periodic ISR armed — both may redirect the pc
-/// between any two instructions, so no fusion is allowed.
+/// poll and (when `hook`) the runtime's per-instruction hook at exactly
+/// the points the reference interpreter has them. Used whenever the
+/// machine has a periodic ISR armed — it may redirect the pc between
+/// any two instructions, so no fusion is allowed.
 fn step_decoded_safe(
     m: &mut Machine,
     rt: &mut dyn IntermittentRuntime,
     dp: &DecodedProgram,
-    isr: bool,
     hook: bool,
 ) -> Result<()> {
-    if isr {
-        m.maybe_fire_isr(rt)?;
-    }
+    m.maybe_fire_isr(rt)?;
     let pc = m.regs.pc;
     let Some(&op) = dp.plain.get(pc as usize) else {
         return Err(VmError::Trap(format!("pc {pc} out of range")));

@@ -124,12 +124,27 @@ pub trait IntermittentRuntime {
     }
 
     /// Whether [`IntermittentRuntime::on_instruction`] does real work for
-    /// this runtime. The decoded dispatcher only enters its fused fast
-    /// loop when this returns `false`; the default is conservatively
-    /// `true` so an overriding runtime that forgets to change it stays
-    /// correct (just slower). Must be constant for the lifetime of a run.
+    /// this runtime. When it returns `false` the decoded dispatcher
+    /// skips the hook after plain (non-runtime-mediated) instructions;
+    /// when `true` it asks [`IntermittentRuntime::next_hook_at`] how far
+    /// its fused burst loop may run between calls. The default is
+    /// conservatively `true` so an overriding runtime that forgets to
+    /// change it stays correct (just slower). Must be constant for the
+    /// lifetime of a run.
     fn instruction_hook(&self) -> bool {
         true
+    }
+
+    /// The earliest machine cycle at which
+    /// [`IntermittentRuntime::on_instruction`] can next do work: called
+    /// after an instruction that leaves the cycle counter below this
+    /// value, the hook must be a no-op. The answer may only change
+    /// through this runtime's own methods (the decoded dispatcher asks
+    /// again after each of them), never through plain ALU, stack, memory
+    /// or branch instructions. The default, `0`, means "after every
+    /// instruction", which is exact for any runtime.
+    fn next_hook_at(&self) -> u64 {
+        0
     }
 
     /// A power failure just wiped volatile state; drop any volatile

@@ -14,19 +14,22 @@
 //! snapshots. The grids cover the seven fault-corpus programs and the
 //! Table 1 applications across the legacy-capable systems, under
 //! continuous power, periodic intermittent power, adversarial fault
-//! plans with torn writes, brown-out store corruption, and an
+//! plans with torn writes, brown-out store corruption, an
 //! ISR-configured machine (the decoded engine's per-instruction "safe"
-//! mode).
+//! mode), voltage-comparator warnings, and TICS on short odd
+//! checkpoint timers (the burst loop stopping at the runtime's hook
+//! deadlines).
 
 use tics_apps::build::{build_app, make_runtime, App, Scale, SystemUnderTest};
 use tics_bench::fault::{build_fault_program, FaultProgram};
+use tics_core::{TicsConfig, TicsRuntime};
 use tics_energy::{
     AdversarialSupply, ContinuousPower, Corruption, FaultPlan, PeriodicTrace, PowerSupply,
 };
 use tics_mcu::memory::MemoryStats;
 use tics_mcu::CorruptionModel;
 use tics_minic::opt::OptLevel;
-use tics_minic::{compile, Program};
+use tics_minic::{compile, passes, Program};
 use tics_trace::{SpanKind, TraceRecord};
 use tics_vm::{
     BareRuntime, DispatchEngine, Executor, ExecStats, IntermittentRuntime, Machine, MachineConfig,
@@ -86,6 +89,13 @@ impl Supply {
     }
 }
 
+/// The executor every grid runs under, before the engine is chosen.
+fn base_executor() -> Executor {
+    Executor::new()
+        .with_time_budget(BUDGET_US)
+        .with_progress_guard(GUARD_BOOTS)
+}
+
 /// Runs one engine over a fresh machine/runtime/supply and snapshots
 /// the observable state. Panics from executing corrupted state are
 /// contained and compared as text, exactly like the fault harness.
@@ -93,7 +103,7 @@ fn run_one(
     prog: &Program,
     cfg: &MachineConfig,
     rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
-    engine: DispatchEngine,
+    exec: &Executor,
     supply: &Supply,
     corruption: Option<&Corruption>,
 ) -> Snapshot {
@@ -106,10 +116,6 @@ fn run_one(
     }
     let mut rt = rt_of();
     let mut sup = supply.build();
-    let exec = Executor::new()
-        .with_engine(engine)
-        .with_time_budget(BUDGET_US)
-        .with_progress_guard(GUARD_BOOTS);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         exec.run(&mut m, rt.as_mut(), sup.as_mut())
     }));
@@ -146,8 +152,8 @@ fn run_one(
     }
 }
 
-/// Runs both engines and asserts snapshot equality, reporting the first
-/// diverging trace event for debuggability.
+/// Runs both engines under [`base_executor`] and asserts snapshot
+/// equality.
 fn assert_engines_agree(
     label: &str,
     prog: &Program,
@@ -156,8 +162,27 @@ fn assert_engines_agree(
     supply: &Supply,
     corruption: Option<&Corruption>,
 ) {
-    let reference = run_one(prog, cfg, rt_of, DispatchEngine::Reference, supply, corruption);
-    let decoded = run_one(prog, cfg, rt_of, DispatchEngine::Decoded, supply, corruption);
+    let exec = base_executor();
+    assert_engines_agree_under(&exec, label, prog, cfg, rt_of, supply, corruption);
+}
+
+/// Runs both engines under `exec` and asserts snapshot equality,
+/// reporting the first diverging trace event for debuggability.
+fn assert_engines_agree_under(
+    exec: &Executor,
+    label: &str,
+    prog: &Program,
+    cfg: &MachineConfig,
+    rt_of: &dyn Fn() -> Box<dyn IntermittentRuntime>,
+    supply: &Supply,
+    corruption: Option<&Corruption>,
+) {
+    let run = |e| {
+        let exec = exec.clone().with_engine(e);
+        run_one(prog, cfg, rt_of, &exec, supply, corruption)
+    };
+    let reference = run(DispatchEngine::Reference);
+    let decoded = run(DispatchEngine::Decoded);
 
     if reference.trace != decoded.trace {
         let i = reference
@@ -260,7 +285,7 @@ fn fault_corpus_agrees_under_adversarial_cuts_and_corruption() {
             &prog,
             &cfg,
             &|| make_runtime(system, &prog),
-            DispatchEngine::Decoded,
+            &base_executor().with_engine(DispatchEngine::Decoded),
             &Supply::Continuous,
             None,
         );
@@ -371,5 +396,119 @@ fn isr_machine_runs_in_safe_mode_and_agrees() {
             &supply,
             None,
         );
+    }
+}
+
+/// A TICS program whose `@expires`/catch block aborts once its reading
+/// goes stale mid-body, with calls and returns (stack shrinks) inside
+/// and outside the block.
+const EXPIRES_CATCH_SRC: &str = "
+    @expires_after = 2ms
+    int t;
+    nv int rounds;
+    nv int caught;
+    int work(int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) { s += i * 3; }
+        return s;
+    }
+    int main() {
+        while (rounds < 24) {
+            t @= sample();
+            @expires(t) {
+                int s = work(rounds * 40);
+                send(s);
+            } catch {
+                caught = caught + 1;
+            }
+            rounds = rounds + 1;
+        }
+        send(caught);
+        return rounds;
+    }
+";
+
+#[test]
+fn tics_hook_deadlines_agree_across_engines() {
+    // Short odd timers land their deadlines inside fused
+    // superinstructions, next to `Ref` ops and on period deadlines; the
+    // decoded engine stops its bursts there and must run the hook after
+    // exactly the instruction the reference interpreter does. At 37 µs a
+    // commit outlasts the period, so the timer is due again at once and
+    // the engine steps one op at a time except inside atomic blocks
+    // (AR's `@expires` guards); 97 µs and 1,009 µs leave bursts between
+    // commits.
+    let cfg = MachineConfig::default();
+    let mut catch_prog = compile(EXPIRES_CATCH_SRC, OptLevel::O1).expect("compile expires program");
+    passes::instrument_tics(&mut catch_prog).expect("instrument expires program");
+    let mut cells = vec![
+        ("expires-catch".to_string(), catch_prog),
+        (
+            "AR".to_string(),
+            build_app(App::Ar, SystemUnderTest::Tics, OptLevel::O2, Scale(8)).expect("AR builds"),
+        ),
+    ];
+    for program in [
+        FaultProgram::NvAccumulator,
+        FaultProgram::BigState,
+        FaultProgram::TaskPipeline,
+    ] {
+        let prog = build_fault_program(program, SystemUnderTest::Tics).expect("corpus builds");
+        cells.push((program.name().to_string(), prog));
+    }
+    for (name, prog) in &cells {
+        for timer_us in [37, 97, 1_009] {
+            let rt_of = || -> Box<dyn IntermittentRuntime> {
+                let mut c = TicsConfig::s2_star().with_timer(Some(timer_us));
+                c.seg_size = c.seg_size.max(prog.max_frame_size().next_multiple_of(64));
+                Box::new(TicsRuntime::new(c))
+            };
+            for warning in [None, Some(433)] {
+                let mut exec = base_executor();
+                exec.voltage_warning_us = warning;
+                for supply in [
+                    Supply::Continuous,
+                    Supply::Periodic {
+                        on_us: 6_007,
+                        off_us: 150,
+                    },
+                ] {
+                    assert_engines_agree_under(
+                        &exec,
+                        &format!("{name}/timer-{timer_us}/warning-{warning:?}/{supply:?}"),
+                        prog,
+                        &cfg,
+                        &rt_of,
+                        &supply,
+                        None,
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn voltage_warning_agrees_across_engines() {
+    // The comparator's checkpoint can run past the period deadline; the
+    // reference interpreter still steps one instruction after it, so the
+    // decoded engine must too, hook or no hook.
+    let cfg = MachineConfig::default();
+    for margin_us in [433, 23] {
+        let exec = base_executor().with_voltage_warning(margin_us);
+        for (label, prog, system) in fault_grid() {
+            assert_engines_agree_under(
+                &exec,
+                &format!("{label}/voltage-warning-{margin_us}"),
+                &prog,
+                &cfg,
+                &|| make_runtime(system, &prog),
+                &Supply::Periodic {
+                    on_us: 6_007,
+                    off_us: 150,
+                },
+                None,
+            );
+        }
     }
 }
