@@ -30,6 +30,9 @@
 //!   simulated (host-independent) and engine-invariant, so equality is
 //!   exact; a mismatch means device behavior changed. Without
 //!   `--devices`, the run reuses the arguments the baseline records.
+//!   Prints one [`tics_bench::gate::Check`] line per system and key
+//!   (threshold, measured and baseline value, device count) and a
+//!   `gate fleet: N of M checks passed` line.
 //! - `--out PATH` — baseline path (default `BENCH_fleet.json`).
 //! - `--no-write` — run and report without touching the baseline.
 //!
@@ -41,6 +44,7 @@ use std::process::ExitCode;
 
 use tics_apps::{build_app, App, SystemUnderTest};
 use tics_bench::fleet::{run_shard, FleetSpec, ShardStats};
+use tics_bench::gate::{print_checks, Check};
 use tics_bench::sweep::splitmix64;
 use tics_bench::{Cell, ClockKind, Json, SupplySpec, Sweep, SweepArgs};
 use tics_minic::opt::OptLevel;
@@ -347,9 +351,9 @@ fn main() -> ExitCode {
     let json = fleet_json(&fleets, total_devices, devices_per_sec);
     tics_bench::write_json("fleet", &json);
 
-    let mut regressions = 0u32;
+    let mut failed_checks = 0;
     if let Some(baseline) = &baseline {
-        regressions = check_against(baseline, &fleets);
+        failed_checks = print_checks("fleet", &fleet_checks(baseline, &fleets));
     } else if !flags.no_write {
         if let Err(e) = std::fs::write(&flags.out_path, json.to_pretty()) {
             eprintln!("cannot write {}: {e}", flags.out_path);
@@ -362,9 +366,9 @@ fn main() -> ExitCode {
         eprintln!("{failed} shard(s) failed or were malformed");
         return ExitCode::FAILURE;
     }
-    if regressions > 0 {
+    if failed_checks > 0 {
         eprintln!(
-            "{regressions} system(s) diverged from the baseline (refresh with \
+            "{failed_checks} check(s) diverged from the baseline (refresh with \
              `cargo run --release -p tics-bench --bin exp_fleet -- --devices N` if intended)"
         );
         return ExitCode::FAILURE;
@@ -415,55 +419,122 @@ fn fleet_json(
 }
 
 /// Exact-equality gate on the simulated, host-independent per-system
-/// totals. `devices` mismatches are reported as a usage error (the
-/// baseline was generated at a different `--devices`), instruction or
-/// violation mismatches as real divergence.
-fn check_against(baseline: &Json, fleets: &[(SystemUnderTest, ShardStats)]) -> u32 {
+/// totals: one check per system and key — its device count, then its
+/// instruction, violation and power-failure totals — each with the
+/// threshold (exact), the measured and baseline values, and the device
+/// count. A device-count mismatch means the baseline was generated at a
+/// different `--devices`; any other mismatch means device behavior
+/// changed.
+fn fleet_checks(baseline: &Json, fleets: &[(SystemUnderTest, ShardStats)]) -> Vec<Check> {
     let Some(rows) = baseline.get("systems").and_then(Json::as_arr) else {
-        eprintln!("baseline has no systems array");
-        return 1;
+        let failure = vec!["baseline has no systems array".to_string()];
+        return vec![Check::new(
+            "baseline",
+            "a systems array".into(),
+            "none".into(),
+            0,
+            "all systems",
+            failure,
+        )];
     };
     let baseline_devices = baseline.get("total_devices").and_then(Json::as_u64);
-    let mut regressions = 0u32;
+    let mut checks = Vec::new();
     for (system, f) in fleets {
+        let name = system.name();
         let Some(row) = rows
             .iter()
-            .find(|r| r.get("system").and_then(Json::as_str) == Some(system.name()))
+            .find(|r| r.get("system").and_then(Json::as_str) == Some(name))
         else {
-            eprintln!("system {} not in baseline", system.name());
-            regressions += 1;
+            checks.push(Check::new(
+                "devices",
+                "exact".into(),
+                format!("{} vs baseline none", f.devices),
+                f.devices,
+                name,
+                vec![format!("system {name} not in baseline")],
+            ));
             continue;
         };
-        let field = |k: &str| row.get(k).and_then(Json::as_u64);
-        if field("devices") != Some(f.devices) {
-            eprintln!(
-                "DEVICE-COUNT MISMATCH {}: baseline ran {:?} devices, this run {} — \
-                 re-run with `--devices {}` to compare against the committed baseline",
-                system.name(),
-                field("devices"),
-                f.devices,
-                baseline_devices.unwrap_or(0),
-            );
-            regressions += 1;
-            continue;
-        }
+        let same_devices = row.get("devices").and_then(Json::as_u64) == Some(f.devices);
         for (key, got) in [
+            ("devices", f.devices),
             ("instructions", f.instructions),
             ("violations", f.violations),
             ("fleet_power_failures", f.power_failures),
         ] {
-            if field(key) != Some(got) {
-                eprintln!(
-                    "DIVERGENCE {}: {} = {} but baseline has {:?} — per-device behavior \
-                     changed",
-                    system.name(),
-                    key,
-                    got,
-                    field(key),
-                );
-                regressions += 1;
-            }
+            let base = row.get(key).and_then(Json::as_u64);
+            let failures = match base {
+                Some(b) if b == got => Vec::new(),
+                _ if key == "devices" => vec![format!(
+                    "the baseline ran {n} devices in total: re-run with `--devices {n}` to \
+                     compare against it",
+                    n = baseline_devices.unwrap_or(0),
+                )],
+                _ if !same_devices => vec![format!("{key} not comparable: device count differs")],
+                _ => vec![format!("{key} changed: per-device behavior diverged")],
+            };
+            let base = base.map_or_else(|| "none".to_string(), |b| b.to_string());
+            checks.push(Check::new(
+                key,
+                "exact".into(),
+                format!("{got} vs baseline {base}"),
+                f.devices,
+                name,
+                failures,
+            ));
         }
     }
-    regressions
+    checks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fleet(devices: u64, instructions: u64) -> (SystemUnderTest, ShardStats) {
+        let mut f = ShardStats::new(1);
+        f.devices = devices;
+        f.instructions = instructions;
+        f.violations = 3;
+        f.power_failures = 7;
+        (SystemUnderTest::Tics, f)
+    }
+
+    fn baseline(devices: u64, instructions: u64) -> Json {
+        let row = Json::obj()
+            .field("system", SystemUnderTest::Tics.name())
+            .field("devices", devices)
+            .field("instructions", instructions)
+            .field("violations", 3u64)
+            .field("fleet_power_failures", 7u64)
+            .build();
+        Json::obj()
+            .field("total_devices", devices)
+            .field("systems", Json::Arr(vec![row]))
+            .build()
+    }
+
+    #[test]
+    fn matching_totals_pass_one_check_per_key() {
+        let checks = fleet_checks(&baseline(200, 5_000), &[fleet(200, 5_000)]);
+        assert_eq!(checks.len(), 4);
+        assert!(checks.iter().all(|c| c.pass));
+        assert!(checks[1].line.starts_with(
+            "PASS instructions: exact | measured 5000 vs baseline 5000 | 200 trials | TICS"
+        ));
+    }
+
+    #[test]
+    fn device_count_and_divergence_fail_their_own_checks() {
+        let checks = fleet_checks(&baseline(200, 5_000), &[fleet(100, 2_500)]);
+        let failed: Vec<_> = checks.iter().filter(|c| !c.pass).collect();
+        assert_eq!(failed.len(), 2);
+        assert!(failed[0]
+            .line
+            .starts_with("FAIL devices: exact | measured 100 vs baseline 200"));
+        assert!(failed[0].line.contains("--devices 200"));
+        assert!(failed[1].line.starts_with("FAIL instructions:"));
+        let missing = fleet_checks(&Json::obj().build(), &[fleet(200, 5_000)]);
+        assert!(!missing[0].pass);
+    }
 }

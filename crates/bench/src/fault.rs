@@ -1382,6 +1382,36 @@ pub fn parse_cuts(s: &str) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    /// The optimizer's one-pass jump-target bitset rewrites exactly what
+    /// its original per-index scan did: the fault corpus (legacy sources
+    /// and task ports) and AR's source variants at every scale the
+    /// experiments build, at every optimization level.
+    #[test]
+    fn jump_target_bitset_optimizes_like_the_scan() {
+        let mut sources: Vec<String> = Vec::new();
+        for p in FaultProgram::ALL {
+            sources.push(p.legacy_src().into());
+            sources.extend(p.task_src().map(|(src, _)| src.to_string()));
+        }
+        for n in [1, 4, 6, 8, 24, 30] {
+            sources.push(tics_apps::ar::plain_src(n));
+            sources.push(tics_apps::ar::tics_src(n));
+            sources.push(tics_apps::ar::task_src(n, false));
+            sources.push(tics_apps::ar::task_src(n, true));
+        }
+        for src in &sources {
+            let unoptimized = compile(src, OptLevel::O0).unwrap();
+            for level in OptLevel::ALL {
+                let mut bitset = unoptimized.clone();
+                let mut scan = unoptimized.clone();
+                tics_minic::opt::optimize(&mut bitset, level);
+                tics_minic::opt::optimize_by_scan(&mut scan, level);
+                assert_eq!(bitset, scan, "{level}:\n{src}");
+                assert_eq!(bitset, compile(src, level).unwrap());
+            }
+        }
+    }
+
     fn golden_of(p: FaultProgram, system: SystemUnderTest) -> (Program, Golden) {
         let prog = build_fault_program(p, system).unwrap();
         let golden = golden_run(&prog, system).unwrap();

@@ -816,16 +816,15 @@ mod tests {
     /// fully detailed trace of an intermittent run is byte-identical to
     /// the per-event-emission trace, and the derived stats match.
     #[test]
-    fn batched_emission_matches_per_event_stream() {
+    fn detail_tracing_changes_no_stats_and_no_timeline() {
         let src = "int g;
              int main() {
                  for (int i = 0; i < 40; i++) { g = g + i; checkpoint(); }
                  return g;
              }";
-        let run = |batching: bool| {
+        let run = |detailed: bool| {
             let mut m = tics_machine(src, MachineConfig::default());
-            m.trace_mut().set_detailed(true);
-            m.set_detail_batching(batching);
+            m.trace_mut().set_detailed(detailed);
             let mut rt = TicsRuntime::new(TicsConfig::default());
             let out = Executor::new()
                 .with_time_budget(500_000_000)
@@ -833,18 +832,25 @@ mod tests {
                 .unwrap();
             (out, m)
         };
-        let (out_b, m_b) = run(true);
-        let (out_u, m_u) = run(false);
-        assert_eq!(out_b.exit_code(), Some(780));
-        assert_eq!(out_u.exit_code(), Some(780));
-        assert!(m_b.stats().power_failures > 0, "must exercise outages");
+        let (out_d, m_d) = run(true);
+        let (out_t, m_t) = run(false);
+        assert_eq!(out_d.exit_code(), Some(780));
+        assert_eq!(out_t.exit_code(), Some(780));
+        assert!(m_d.stats().power_failures > 0, "must exercise outages");
         assert!(
-            m_b.trace().records().iter().any(|r| r.event.is_detail()),
+            m_d.trace().records().iter().any(|r| r.event.is_detail()),
             "detailed sink must capture detail events"
         );
-        assert_eq!(m_b.trace().records(), m_u.trace().records());
-        assert_eq!(m_b.stats().instructions, m_u.stats().instructions);
-        assert_eq!(m_b.stats().checkpoint_bytes, m_u.stats().checkpoint_bytes);
+        assert!(m_d.stats().undo_log_appends > 0, "detail counters fold");
+        assert_eq!(m_d.stats(), m_t.stats());
+        let timeline: Vec<_> = m_d
+            .trace()
+            .records()
+            .iter()
+            .filter(|r| !r.event.is_detail())
+            .copied()
+            .collect();
+        assert_eq!(timeline, m_t.trace().records());
     }
 
     #[test]

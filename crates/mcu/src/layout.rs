@@ -56,6 +56,23 @@ impl MemoryLayout {
     pub fn is_volatile(&self, addr: Addr) -> bool {
         self.sram.contains(addr)
     }
+
+    /// The region holding all of `[addr, addr + len)` when `addr` sits on
+    /// that region's word grid (a multiple of 4 bytes from its start, the
+    /// grid of the dirty-word bitmap): `Some(false)` for SRAM,
+    /// `Some(true)` for FRAM, `None` when the range is off the grid or
+    /// not inside one region.
+    #[must_use]
+    pub fn word_window(&self, addr: Addr, len: u32) -> Option<bool> {
+        let on_grid = |r: Region| (addr.0 - r.start.0).is_multiple_of(4);
+        if self.sram.contains_range(addr, len) {
+            on_grid(self.sram).then_some(false)
+        } else if self.fram.contains_range(addr, len) {
+            on_grid(self.fram).then_some(true)
+        } else {
+            None
+        }
+    }
 }
 
 impl Default for MemoryLayout {

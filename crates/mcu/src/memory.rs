@@ -782,14 +782,34 @@ impl Memory {
         Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
-    /// Opens a [`WordBurst`]: a register-resident accounting view for
-    /// the decoded interpreter's burst loop. Region bounds, per-word
-    /// costs, the armed power cut, and the current span are resolved
-    /// once; cycle and traffic counters accumulate in locals and land
-    /// back here on [`WordBurst::commit`]. Between `word_burst` and
+    /// Resolves `[addr, addr + len)` to a [`Window`] if the whole range
+    /// lies inside one region, starting on its word grid
+    /// ([`MemoryLayout::word_window`]); `None` otherwise. The check is
+    /// made once; accesses through the window then index the region
+    /// directly, in a [`WordBurst`] opened afterwards.
+    #[must_use]
+    pub fn window(&self, addr: Addr, len: u32) -> Option<Window> {
+        let fram = self.layout.word_window(addr, len)?;
+        let region = if fram {
+            self.layout.fram
+        } else {
+            self.layout.sram
+        };
+        Some(Window {
+            fram,
+            region_start: region.start.0,
+        })
+    }
+
+    /// Opens a [`WordBurst`]: an accounting view for one fast zone of
+    /// the decoded interpreter. Region bounds, per-word costs, the armed
+    /// power cut, and the current span are resolved once; cycle and
+    /// traffic counters accumulate in the view and land back here on
+    /// [`WordBurst::commit`]. Between `word_burst` and
     /// `commit` this `Memory` must not be accessed (the borrow checker
     /// enforces it), so the view cannot diverge from the canonical
     /// counters.
+    #[inline]
     #[must_use]
     pub fn word_burst(&mut self) -> WordBurst<'_> {
         // A region shorter than one word can never satisfy a 4-byte
@@ -1105,19 +1125,34 @@ impl Memory {
     }
 }
 
-/// Register-resident accounting view over a [`Memory`], opened with
-/// [`Memory::word_burst`].
+/// Accounting view over a [`Memory`] for one fast zone of the decoded
+/// interpreter, opened with [`Memory::word_burst`].
 ///
 /// The decoded interpreter's burst loop performs millions of word
 /// accesses between runtime interventions; routing each through the
 /// [`Memory`] methods costs a handful of read-modify-writes to
-/// heap-resident counters per access. This view resolves everything
-/// constant for the duration of a burst — region bounds, per-word
-/// costs, the armed power cut, the open span — into plain fields, and
-/// accumulates cycles and traffic counters in locals the optimizer can
-/// keep in registers. [`WordBurst::commit`] folds the deltas back.
+/// heap-resident counters per access. This view copies everything
+/// constant for the duration of a zone — region bounds, per-word costs,
+/// the armed power cut — into plain fields, borrows the region slices
+/// and dirty bitmaps, and accumulates cycles and traffic counters in
+/// fields of its own; [`WordBurst::commit`] folds them back, with every
+/// cycle charged to the span open when the view was opened. The
+/// executor opens the view as a local of the zone's function and only
+/// passes it to inlined methods, so the optimizer may split it into
+/// scalars and keep the counters and slice bounds in registers (or
+/// spill slots no store into the slices can alias); a view that
+/// escapes to an opaque call keeps its fields in memory instead.
 ///
-/// Every method is arithmetic-identical to its [`Memory`] counterpart
+/// Two access styles share the view. The per-access methods
+/// ([`WordBurst::read_word`], [`WordBurst::write_word`],
+/// [`WordBurst::peek_word`]) bounds-check, charge and count each word.
+/// The window methods ([`WordBurst::win_read`], [`WordBurst::win_store`],
+/// [`WordBurst::win_mark`], [`WordBurst::count_traffic`]) serve the
+/// executor's static path, which proves a whole op's words inside a
+/// [`Window`] and its stores clear of the cut, then charges the op's
+/// precomputed total at once.
+///
+/// Every per-access method is arithmetic-identical to its [`Memory`] counterpart
 /// ([`Memory::read_word`], [`Memory::write_word`], [`Memory::peek_word`],
 /// [`Memory::add_cycles`]), including torn single-word commit math
 /// against the power cut. Word stores never consult the brown-out
@@ -1270,10 +1305,74 @@ impl WordBurst<'_> {
         Ok(u32::from_le_bytes(b))
     }
 
+    /// Reads the word at absolute address `a` inside window `w`, without
+    /// charging: the caller charges the op's whole traffic with
+    /// [`WordBurst::count_traffic`] and [`WordBurst::add_cycles`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not inside the region `w` was resolved in (a
+    /// caller bug: the window check proves every address it uses).
+    #[inline(always)]
+    #[must_use]
+    pub fn win_read(&self, w: Window, a: u32) -> u32 {
+        let off = (a - w.region_start) as usize;
+        let bytes: &[u8] = if w.fram { &*self.fram } else { &*self.sram };
+        u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice"))
+    }
+
+    /// Stores the word at absolute address `a` inside window `w`, without
+    /// charging or marking it dirty: the caller marks it with
+    /// [`WordBurst::win_mark`] before the burst commits. The store always
+    /// commits: the caller has proven that no armed cut falls inside the
+    /// op's charge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not inside the region `w` was resolved in.
+    #[inline(always)]
+    pub fn win_store(&mut self, w: Window, a: u32, v: u32) {
+        let off = (a - w.region_start) as usize;
+        let bytes: &mut [u8] = if w.fram { self.fram } else { self.sram };
+        bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Sets the one dirty bit of the aligned word at absolute address `a`
+    /// inside window `w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not inside the region `w` was resolved in.
+    #[inline(always)]
+    pub fn win_mark(&mut self, w: Window, a: u32) {
+        let off = (a - w.region_start) as usize;
+        let dirty: &mut [u64] = if w.fram {
+            self.fram_dirty
+        } else {
+            self.sram_dirty
+        };
+        dirty[off >> 8] |= 1u64 << ((off >> 2) & 63);
+    }
+
+    /// Counts `reads` and `writes` words of traffic in window `w`'s
+    /// region (the cycles are charged separately, with
+    /// [`WordBurst::add_cycles`]).
+    #[inline(always)]
+    pub fn count_traffic(&mut self, w: Window, reads: u64, writes: u64) {
+        if w.fram {
+            self.fram_reads += 4 * reads;
+            self.fram_writes += 4 * writes;
+        } else {
+            self.sram_reads += 4 * reads;
+            self.sram_writes += 4 * writes;
+        }
+    }
+
     /// Folds the accumulated deltas back into the owning [`Memory`].
     /// All burst cycles belong to the span that was open when the view
     /// was created — span changes only happen through runtime code,
     /// which never runs inside a burst.
+    #[inline]
     pub fn commit(self) {
         *self.cycles_out = self.cycles;
         *self.span_out += self.cycles - self.start_cycles;
@@ -1282,6 +1381,25 @@ impl WordBurst<'_> {
         self.stats_out.fram_reads += self.fram_reads;
         self.stats_out.fram_writes += self.fram_writes;
         self.stats_out.torn_writes += self.torn_writes;
+    }
+}
+
+/// An address range inside one region, on that region's word grid,
+/// resolved once by [`Memory::window`]: the decoded interpreter's static path reads and
+/// writes a frame's or the data segment's words through it without the
+/// per-access region compares. The default window is never resolved
+/// and stands in for an absent one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Window {
+    fram: bool,
+    region_start: u32,
+}
+
+impl Window {
+    /// Whether the window lies in FRAM (else SRAM).
+    #[must_use]
+    pub fn in_fram(&self) -> bool {
+        self.fram
     }
 }
 
@@ -1955,6 +2073,34 @@ mod tests {
             mark_dirty_bits_per_word(&mut slow, off, len);
             assert_eq!(fast, slow, "off {off} len {len}");
         }
+    }
+
+    #[test]
+    fn windows_resolve_on_their_region_grid_and_store_uncharged() {
+        let layout = MemoryLayout::new(
+            Region::with_len(Addr(0x1000), 64),
+            Region::with_len(Addr(0x2002), 64),
+        );
+        let mut m = Memory::new(layout);
+        assert!(m.window(Addr(0x1000), 64).is_some_and(|w| !w.in_fram()));
+        assert!(m.window(Addr(0x1002), 8).is_none(), "off the SRAM grid");
+        assert!(m.window(Addr(0x1004), 64).is_none(), "past the SRAM end");
+        assert!(m.window(Addr(0x2002), 8).is_some_and(|w| w.in_fram()));
+        assert!(m.window(Addr(0x2004), 8).is_none(), "off the FRAM grid");
+        let w = m.window(Addr(0x2002), 64).unwrap();
+        let before = (m.cycles(), m.stats());
+        let mut b = m.word_burst();
+        b.win_store(w, 0x2006, 0xDEAD_BEEF);
+        b.win_mark(w, 0x2006);
+        assert_eq!(b.win_read(w, 0x2006), 0xDEAD_BEEF);
+        b.commit();
+        assert_eq!(m.peek_u32(Addr(0x2006)).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(all_dirty_words(&m), vec![Addr(0x2006)]);
+        assert_eq!(
+            (m.cycles(), m.stats()),
+            before,
+            "window accesses charge nothing"
+        );
     }
 
     #[test]

@@ -40,16 +40,42 @@ impl std::fmt::Display for OptLevel {
 
 /// Optimizes a program in place.
 pub fn optimize(prog: &mut Program, level: OptLevel) {
+    optimize_with(prog, level, jump_targets);
+}
+
+/// [`optimize`] with every jump-target test answered by a scan of the
+/// whole function, the optimizer's original rule. Kept as the oracle the
+/// bitset of [`optimize`] is checked against: both must produce the same
+/// code, byte for byte.
+#[doc(hidden)]
+pub fn optimize_by_scan(prog: &mut Program, level: OptLevel) {
+    optimize_with(prog, level, |code| {
+        (0..=code.len())
+            .map(|idx| {
+                code.iter().any(|i| {
+                    i.jump_target() == Some(idx as u32)
+                        || matches!(i, Instr::ExpiresBlockBegin(_, t) if *t == idx as u32)
+                })
+            })
+            .collect()
+    });
+}
+
+/// A jump-target set: `targets(code)[i]` says whether some instruction
+/// of `code` jumps to index `i`.
+type Targets = fn(&[Instr]) -> Vec<bool>;
+
+fn optimize_with(prog: &mut Program, level: OptLevel, targets: Targets) {
     if level == OptLevel::O0 {
         return;
     }
     for f in &mut prog.functions {
         // A couple of rounds reach a fixpoint on this IR in practice.
         for _ in 0..3 {
-            constant_fold(f);
+            constant_fold(f, targets);
             if level >= OptLevel::O2 {
                 thread_jumps(f);
-                peephole(f);
+                peephole(f, targets);
             }
             eliminate_dead_code(f);
         }
@@ -132,20 +158,34 @@ pub(crate) fn insert_instrs(code: &mut Vec<Instr>, inserts: &[(usize, Instr)]) {
     *code = out;
 }
 
-fn is_jump_target(code: &[Instr], idx: usize) -> bool {
-    code.iter().any(|i| {
-        i.jump_target() == Some(idx as u32)
-            || matches!(i, Instr::ExpiresBlockBegin(_, t) if *t == idx as u32)
-    })
+/// Marks every index of `code` that a branch or an `@expires` catch
+/// jumps to, in one pass.
+fn jump_targets(code: &[Instr]) -> Vec<bool> {
+    let mut targets = vec![false; code.len() + 1];
+    for i in code {
+        let t = match *i {
+            Instr::ExpiresBlockBegin(_, t) => Some(t),
+            i => i.jump_target(),
+        };
+        if let Some(slot) = t.and_then(|t| targets.get_mut(t as usize)) {
+            *slot = true;
+        }
+    }
+    targets
 }
 
-fn constant_fold(f: &mut Function) {
+// The rewriting passes make at most one rewrite per scan and restart
+// after it, so a scan's jump-target set is computed once, before the
+// scan, and stays exact for all of it.
+
+fn constant_fold(f: &mut Function, targets: Targets) {
     loop {
         let mut dead = BTreeSet::new();
         let mut changed = false;
         let code = &mut f.code;
+        let target = targets(code);
         for i in 0..code.len() {
-            if i + 2 < code.len() && !is_jump_target(code, i + 1) && !is_jump_target(code, i + 2) {
+            if i + 2 < code.len() && !target[i + 1] && !target[i + 2] {
                 if let (Instr::Const(a), Instr::Const(b)) = (code[i], code[i + 1]) {
                     if let Some(v) = fold_binary(code[i + 2], a, b) {
                         code[i] = Instr::Const(v);
@@ -156,7 +196,7 @@ fn constant_fold(f: &mut Function) {
                     }
                 }
             }
-            if i + 1 < code.len() && !is_jump_target(code, i + 1) {
+            if i + 1 < code.len() && !target[i + 1] {
                 if let Instr::Const(a) = code[i] {
                     match code[i + 1] {
                         Instr::Neg => {
@@ -268,12 +308,13 @@ fn thread_jumps(f: &mut Function) {
     remove_instrs(&mut f.code, &dead);
 }
 
-fn peephole(f: &mut Function) {
+fn peephole(f: &mut Function, targets: Targets) {
     loop {
         let mut dead = BTreeSet::new();
         let code = &mut f.code;
+        let target = targets(code);
         for i in 0..code.len().saturating_sub(1) {
-            if is_jump_target(code, i + 1) {
+            if target[i + 1] {
                 continue;
             }
             match (code[i], code[i + 1]) {
@@ -358,7 +399,7 @@ mod tests {
             Instr::Mul,
             Instr::Ret,
         ]);
-        constant_fold(&mut f);
+        constant_fold(&mut f, jump_targets);
         assert_eq!(f.code, vec![Instr::Const(42), Instr::Ret]);
     }
 
@@ -372,7 +413,7 @@ mod tests {
             Instr::Const(20),
             Instr::Ret,
         ]);
-        constant_fold(&mut f);
+        constant_fold(&mut f, jump_targets);
         eliminate_dead_code(&mut f);
         assert_eq!(f.code, vec![Instr::Const(10), Instr::Ret]);
     }
@@ -455,7 +496,7 @@ mod tests {
     #[test]
     fn peephole_removes_dup_pop() {
         let mut f = func(vec![Instr::Const(5), Instr::Dup, Instr::Pop, Instr::Ret]);
-        peephole(&mut f);
+        peephole(&mut f, jump_targets);
         assert_eq!(f.code, vec![Instr::Const(5), Instr::Ret]);
     }
 
@@ -468,7 +509,7 @@ mod tests {
             Instr::Const(1),
             Instr::Ret,
         ]);
-        peephole(&mut f);
+        peephole(&mut f, jump_targets);
         assert_eq!(f.code[1], Instr::Jnz(3));
     }
 

@@ -25,6 +25,7 @@
 //!   dispatch, redundant range checks, and stack-bound bookkeeping.
 //! * In an unverified function every slot is [`Op::Ref`].
 
+use tics_mcu::CostModel;
 use tics_minic::isa::Instr;
 use tics_minic::program::{Program, FRAME_HEADER_BYTES};
 
@@ -236,6 +237,200 @@ pub enum Op {
     Ref,
 }
 
+impl Op {
+    /// The plain ops a superinstruction stands for, in execution order
+    /// (a plain op stands for itself). The unused tail is [`Op::Ref`].
+    pub(crate) fn parts(self) -> ([Op; 4], usize) {
+        const R: Op = Op::Ref;
+        match self {
+            Op::LdLKBin { a, k, op } => ([Op::LoadLocal(a), Op::Const(k), Op::Bin(op), R], 3),
+            Op::LdLKBinSt { a, k, op, d } => (
+                [
+                    Op::LoadLocal(a),
+                    Op::Const(k),
+                    Op::Bin(op),
+                    Op::StoreLocal(d),
+                ],
+                4,
+            ),
+            Op::LdLKBinBr { a, k, op, t, on_nz } => {
+                let br = if on_nz { Op::Jnz(t) } else { Op::Jz(t) };
+                ([Op::LoadLocal(a), Op::Const(k), Op::Bin(op), br], 4)
+            }
+            Op::LdGKBin { g, k, op } => ([Op::LoadGlobal(g), Op::Const(k), Op::Bin(op), R], 3),
+            Op::LdGKBinSt { g, k, op, d } => (
+                [
+                    Op::LoadGlobal(g),
+                    Op::Const(k),
+                    Op::Bin(op),
+                    Op::StoreGlobal(d),
+                ],
+                4,
+            ),
+            Op::KBin { k, op } => ([Op::Const(k), Op::Bin(op), R, R], 2),
+            Op::KStL { k, d } => ([Op::Const(k), Op::StoreLocal(d), R, R], 2),
+            Op::KStG { k, d } => ([Op::Const(k), Op::StoreGlobal(d), R, R], 2),
+            plain => ([plain, R, R, R], 1),
+        }
+    }
+}
+
+/// The whole simulated traffic of one decoded op, charged as a unit by
+/// the executor's static path: the op's instructions, and its word reads
+/// and writes relative to the frame (operand stack and locals) and to
+/// the data segment (globals). The counts are exactly what the op's
+/// per-access execution charges, access by access.
+///
+/// `instrs == 0` marks an op that always runs per access: `Ref`, the
+/// indirect `LoadInd`/`StoreInd`, and any op whose local or global
+/// offset is unaligned or outside its frame or the data segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Charge {
+    /// Instructions retired (0: never charged statically).
+    pub instrs: u8,
+    /// Frame-relative word reads.
+    pub frame_reads: u8,
+    /// Frame-relative word writes.
+    pub frame_writes: u8,
+    /// Data-segment word reads.
+    pub data_reads: u8,
+    /// Data-segment word writes.
+    pub data_writes: u8,
+}
+
+impl Charge {
+    /// The charge of one plain op: `(frame reads, frame writes, data
+    /// reads, data writes)` word counts of its per-access execution.
+    fn plain(op: Op) -> Option<[u8; 4]> {
+        Some(match op {
+            Op::Const(_) | Op::AddrLocal(_) | Op::AddrGlobal(_) | Op::Dup => [0, 1, 0, 0],
+            Op::LoadLocal(_) | Op::StoreLocal(_) | Op::Un(_) => [1, 1, 0, 0],
+            Op::LoadGlobal(_) => [0, 1, 1, 0],
+            Op::StoreGlobal(_) => [1, 0, 0, 1],
+            Op::Pop | Op::Jz(_) | Op::Jnz(_) => [1, 0, 0, 0],
+            Op::Swap => [2, 2, 0, 0],
+            Op::Bin(_) => [2, 1, 0, 0],
+            Op::Jmp(_) => [0, 0, 0, 0],
+            _ => return None,
+        })
+    }
+
+    /// The charge of `op` in a function whose frames are `frame_bytes`
+    /// long, over a data segment of `data_bytes`.
+    fn of(op: Op, frame_bytes: u32, data_bytes: u32) -> Charge {
+        let word_in = |off: u32, len: u32| {
+            off.is_multiple_of(4) && off.checked_add(4).is_some_and(|e| e <= len)
+        };
+        let (parts, n) = op.parts();
+        let mut c = Charge {
+            instrs: n as u8,
+            ..Charge::default()
+        };
+        for &p in &parts[..n] {
+            let in_window = match p {
+                Op::LoadLocal(o) | Op::StoreLocal(o) => word_in(o, frame_bytes),
+                Op::LoadGlobal(o) | Op::StoreGlobal(o) => word_in(o, data_bytes),
+                _ => true,
+            };
+            let Some([fr, fw, dr, dw]) = Charge::plain(p).filter(|_| in_window) else {
+                return Charge::default();
+            };
+            c.frame_reads += fr;
+            c.frame_writes += fw;
+            c.data_reads += dr;
+            c.data_writes += dw;
+        }
+        c
+    }
+}
+
+/// One pc's [`Charge`] priced for one device image and one frame
+/// region: what the static path adds per op instead of counting word by
+/// word, and what it checks the op against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StaticCost {
+    /// Cycles of the whole op.
+    pub cycles: u64,
+    /// Cycles of all its sub-ops but the last (0 for a plain op): a stop
+    /// boundary at or below the op's start plus this falls strictly
+    /// inside the op.
+    pub inner: u64,
+    /// Word traffic in 16-bit lanes, low to high: frame reads, frame
+    /// writes, data reads, data writes (see [`StaticCost::lanes`]).
+    pub traffic: u64,
+}
+
+impl StaticCost {
+    /// An op that never takes the static path: its [`Charge`] says so,
+    /// or it touches the data segment and that is no window. No stop
+    /// boundary lies beyond its `inner`.
+    pub(crate) const NEVER: StaticCost = StaticCost {
+        cycles: u64::MAX,
+        inner: u64::MAX,
+        traffic: 0,
+    };
+
+    /// Unpacks a sum of [`StaticCost::traffic`] values into its four
+    /// lanes. The sum stays exact while no lane passes `u16::MAX`: at
+    /// most 2 words per lane per instruction, so up to 32,767
+    /// instructions.
+    pub(crate) fn lanes(traffic: u64) -> [u64; 4] {
+        [0, 16, 32, 48].map(|s| (traffic >> s) & 0xFFFF)
+    }
+}
+
+impl DecodedProgram {
+    /// Prices every pc's [`Charge`] under `costs`, with the frame in
+    /// FRAM (`frame_fram`) or SRAM and the data segment in `data`
+    /// (`Some(is_fram)` when it is one window, else `None`; see
+    /// [`MemoryLayout::word_window`](tics_mcu::MemoryLayout::word_window)).
+    pub(crate) fn static_costs(
+        &self,
+        costs: &CostModel,
+        frame_fram: bool,
+        data: Option<bool>,
+    ) -> Vec<StaticCost> {
+        let region = |fram: bool| {
+            if fram {
+                (costs.fram_read_per_word, costs.fram_write_per_word)
+            } else {
+                (costs.sram_access_per_word, costs.sram_access_per_word)
+            }
+        };
+        let (frame_read, frame_write) = region(frame_fram);
+        let (data_read, data_write) = data.map_or((0, 0), region);
+        let price = |instrs: u8, [fr, fw, dr, dw]: [u8; 4]| {
+            u64::from(instrs) * costs.instr_base
+                + u64::from(fr) * frame_read
+                + u64::from(fw) * frame_write
+                + u64::from(dr) * data_read
+                + u64::from(dw) * data_write
+        };
+        self.ops
+            .iter()
+            .zip(&self.charge)
+            .map(|(&op, c)| {
+                if c.instrs == 0 || (c.data_reads + c.data_writes > 0 && data.is_none()) {
+                    return StaticCost::NEVER;
+                }
+                let counts = [c.frame_reads, c.frame_writes, c.data_reads, c.data_writes];
+                let cycles = price(c.instrs, counts);
+                let (parts, n) = op.parts();
+                let last = Charge::plain(parts[n - 1]).expect("a static op's parts are plain");
+                StaticCost {
+                    cycles,
+                    inner: cycles - price(1, last),
+                    traffic: counts
+                        .iter()
+                        .zip([0, 16, 32, 48])
+                        .map(|(&w, shift)| u64::from(w) << shift)
+                        .sum(),
+                }
+            })
+            .collect()
+    }
+}
+
 /// Sentinel depth for pcs the verifier never reached (dead code) or pcs
 /// in unverified functions.
 pub const DEPTH_UNKNOWN: i32 = -1;
@@ -247,6 +442,8 @@ pub const DEPTH_UNKNOWN: i32 = -1;
 pub struct DecodedProgram {
     /// Dispatch stream with superinstructions at fusion head slots.
     pub ops: Vec<Op>,
+    /// The static charge of `ops[pc]` at each pc (see [`Charge`]).
+    pub charge: Vec<Charge>,
     /// Dispatch stream with only individual ops — used when an ISR or an
     /// instruction hook must run between every two instructions, and at
     /// mid-fusion entry points.
@@ -268,6 +465,7 @@ impl DecodedProgram {
     pub fn decode(program: &Program, code: &[Instr], entries: &[u32], owner: &[u16]) -> Self {
         let mut dp = DecodedProgram {
             ops: vec![Op::Ref; code.len()],
+            charge: Vec::new(),
             plain: vec![Op::Ref; code.len()],
             depths: vec![DEPTH_UNKNOWN; code.len()],
             verified: vec![false; program.functions.len()],
@@ -285,6 +483,15 @@ impl DecodedProgram {
         }
         dp.ops.clone_from(&dp.plain);
         fuse(code, &mut dp);
+        dp.charge = dp
+            .ops
+            .iter()
+            .zip(owner)
+            .map(|(&op, &fi)| {
+                let f = &program.functions[fi as usize];
+                Charge::of(op, f.frame_size(), program.globals_size)
+            })
+            .collect();
         dp
     }
 

@@ -19,14 +19,14 @@ use std::sync::Arc;
 
 use tics_energy::PowerSupply;
 use tics_mcu::periph::{I2C_PHASE_CYCLES, UART_BYTE_CYCLES};
-use tics_mcu::{Addr, Registers, WordBurst};
+use tics_mcu::{Addr, Memory, Registers, Window, WordBurst};
 use tics_minic::isa::{Instr, Syscall};
 use tics_minic::program::FRAME_HEADER_BYTES;
 use tics_trace::{I2cPhase, TraceEvent};
 
-use crate::decoded::{BinOp, DecodedProgram, Op, UnOp, DEPTH_UNKNOWN};
+use crate::decoded::{BinOp, DecodedProgram, Op, StaticCost, UnOp, DEPTH_UNKNOWN};
 use crate::error::VmError;
-use crate::machine::Machine;
+use crate::machine::{Machine, MachineImage};
 use crate::runtime::{CheckpointKind, IntermittentRuntime, ResumeAction};
 use crate::Result;
 
@@ -191,19 +191,6 @@ impl Executor {
         rt: &mut dyn IntermittentRuntime,
         supply: &mut dyn PowerSupply,
     ) -> Result<RunOutcome> {
-        let out = self.run_loop(m, rt, supply);
-        // Detail events batch until the next observable boundary; the
-        // run-loop exit (on any outcome) is the final one.
-        m.flush_trace();
-        out
-    }
-
-    fn run_loop(
-        &self,
-        m: &mut Machine,
-        rt: &mut dyn IntermittentRuntime,
-        supply: &mut dyn PowerSupply,
-    ) -> Result<RunOutcome> {
         rt.check_program(&m.loaded().program)?;
         let mut unproductive_boots = 0u64;
         let mut stalled_boots = 0u64;
@@ -283,15 +270,15 @@ impl Executor {
                     PeriodMode::Safe { ref decoded, hook } => {
                         step_decoded_safe(m, rt, decoded, hook)?;
                     }
-                    PeriodMode::Fast { ref decoded, hook } if warned => {
+                    PeriodMode::Fast { ref image, hook } if warned => {
                         // Like every engine, step one instruction after
                         // the comparator's checkpoint, even if that
                         // checkpoint ran past the deadline (the burst
                         // would stop before it). No ISR is armed, so the
                         // stepper's ISR poll is a no-op.
-                        step_decoded_safe(m, rt, decoded, hook)?;
+                        step_decoded_safe(m, rt, &image.loaded().decoded, hook)?;
                     }
-                    PeriodMode::Fast { ref decoded, hook } => {
+                    PeriodMode::Fast { ref image, hook } => {
                         // The burst runs until the nearest stop boundary;
                         // the outer checks above are idempotent and
                         // disambiguate which one fired.
@@ -301,7 +288,7 @@ impl Executor {
                                 stop_at = stop_at.min(w);
                             }
                         }
-                        run_burst(m, rt, decoded, stop_at, self.max_instructions, hook)?;
+                        run_burst(m, rt, image, stop_at, self.max_instructions, hook)?;
                     }
                 }
             }
@@ -354,7 +341,7 @@ enum PeriodMode {
     /// `hook`, each burst also stops at the runtime's next hook
     /// deadline ([`IntermittentRuntime::next_hook_at`]).
     Fast {
-        decoded: Arc<DecodedProgram>,
+        image: Arc<MachineImage>,
         hook: bool,
     },
 }
@@ -368,12 +355,13 @@ impl Executor {
         if !boot_state_consistent(m) {
             return PeriodMode::Reference;
         }
-        let decoded = m.loaded().decoded.clone();
         let hook = rt.instruction_hook();
         if m.has_isr() {
+            let decoded = m.loaded().decoded.clone();
             PeriodMode::Safe { decoded, hook }
         } else {
-            PeriodMode::Fast { decoded, hook }
+            let image = m.image().clone();
+            PeriodMode::Fast { image, hook }
         }
     }
 }
@@ -954,11 +942,12 @@ fn exec_plain(m: &mut Machine, op: Op) -> Result<()> {
 fn run_burst(
     m: &mut Machine,
     rt: &mut dyn IntermittentRuntime,
-    dp: &DecodedProgram,
+    image: &MachineImage,
     stop_at: u64,
     max_instr: u64,
     hook: bool,
 ) -> Result<()> {
+    let dp = &*image.loaded().decoded;
     loop {
         if m.cycles() >= stop_at || m.stats().instructions >= max_instr {
             return Ok(());
@@ -985,18 +974,14 @@ fn run_burst(
             step_decoded_safe(m, rt, dp, true)?;
             continue;
         }
-        let data_base = m.data_base().raw();
+        let frame = static_frame(m, dp);
+        let data = (m.data_base(), m.loaded().program.globals_size);
         let instr_left = max_instr.saturating_sub(m.stats().instructions);
         let mut instr = 0u64;
+        let zone = Zone::new(&m.mem, image, frame, data, stop_at.min(hook_at), instr_left);
         let res = {
             let (mem, regs) = m.burst_parts();
-            let mut bm = mem.word_burst();
-            let zone_stop = stop_at.min(hook_at);
-            let r = fast_zone(
-                &mut bm, regs, dp, data_base, zone_stop, instr_left, &mut instr,
-            );
-            bm.commit();
-            r
+            fast_zone(mem, regs, dp, &zone, &mut instr)
         };
         m.stats_mut().instructions += instr;
         res?;
@@ -1009,21 +994,142 @@ fn run_burst(
     }
 }
 
+/// The frame window of the function the machine is in: `(fp,
+/// frame size)` when `sp` sits exactly where the verified depth at `pc`
+/// puts it, which keeps every operand-stack access of the zone inside
+/// the frame; `None` (no static path for frame traffic) otherwise.
+fn static_frame(m: &Machine, dp: &DecodedProgram) -> Option<(Addr, u32)> {
+    let loaded = m.loaded();
+    let pc = m.regs.pc as usize;
+    let depth = *dp.depths.get(pc)?;
+    if depth == DEPTH_UNKNOWN {
+        return None;
+    }
+    let f = &loaded.program.functions[loaded.owner[pc] as usize];
+    let operand_base = m
+        .regs
+        .fp
+        .raw()
+        .checked_add(FRAME_HEADER_BYTES + f.arg_bytes() + u32::from(f.locals_bytes))?;
+    (m.regs.sp.raw() == operand_base.wrapping_add(4 * depth as u32))
+        .then_some((m.regs.fp, f.frame_size()))
+}
+
+/// At most this many instructions per zone, so that the static
+/// traffic summed in [`StaticCost::traffic`]'s 16-bit lanes stays exact
+/// (see [`StaticCost::lanes`]). Ending a zone early is invisible: the
+/// burst loop starts the next one at the same pc.
+const ZONE_INSTRS: u64 = 32_767;
+
+/// What a fast zone resolves once for its static path: the priced
+/// charges for the zone's frame region, the frame and data windows, and
+/// the boundaries every statically charged op is checked against.
+struct Zone<'a> {
+    /// [`StaticCost`] per pc; empty (nothing static) when the frame
+    /// window did not resolve.
+    costs: &'a [StaticCost],
+    frame: Window,
+    data: Window,
+    data_base: u32,
+    /// The zone's stop boundary (period deadline, voltage warning, hook
+    /// deadline, time budget).
+    stop_at: u64,
+    /// Instructions the zone may retire: the budget's remainder, capped
+    /// at [`ZONE_INSTRS`].
+    instr_left: u64,
+    /// A static op may start only below this count, so that no budget
+    /// boundary falls inside even a 4-instruction fused op.
+    static_left: u64,
+    /// The armed power cut (`u64::MAX` when none): an op whose charge
+    /// ends at or before it commits every store.
+    cut: u64,
+}
+
+impl<'a> Zone<'a> {
+    fn new(
+        mem: &Memory,
+        image: &'a MachineImage,
+        frame: Option<(Addr, u32)>,
+        (data_base, data_bytes): (Addr, u32),
+        stop_at: u64,
+        instr_left: u64,
+    ) -> Zone<'a> {
+        let frame = frame.and_then(|(fp, len)| mem.window(fp, len));
+        Zone {
+            costs: frame.map_or(&[], |w| image.static_costs(w.in_fram())),
+            frame: frame.unwrap_or_default(),
+            // Data ops are priced `u64::MAX` when this does not resolve.
+            data: mem.window(data_base, data_bytes).unwrap_or_default(),
+            data_base: data_base.raw(),
+            stop_at,
+            instr_left: instr_left.min(ZONE_INSTRS),
+            static_left: instr_left.min(ZONE_INSTRS).saturating_sub(3),
+            cut: mem.power_cut().unwrap_or(u64::MAX),
+        }
+    }
+}
+
 /// Executes decoded ops against a [`WordBurst`] until a stop boundary,
-/// a `Ref` op (returned to the caller's slow loop), or a trap. Between
-/// the sub-ops of a fused sequence the same boundary is checked; on
-/// trigger the pc already points at the next sub-instruction's slot
-/// (which holds its plain op), so execution resumes exactly where the
-/// reference interpreter would.
+/// a `Ref` op (returned to the caller's slow loop), or a trap.
+///
+/// Each op first tries the *static path*. One test per op, against the
+/// op's [`StaticCost`], proves three things: every word it touches lies
+/// in a window that resolved (else its cost is [`StaticCost::NEVER`]);
+/// no armed cut falls inside its charge, so every store commits; and no
+/// stop or instruction-budget boundary falls strictly inside a fused op.
+/// Then the op's words are read and written through the windows and its
+/// whole charge is added at once — the same totals, memory and dirty
+/// bits the per-access path produces. Otherwise, and whenever an ALU op
+/// inside it would trap, the op runs per access through [`exec_burst`],
+/// the exact fallback: between the sub-ops of a fused sequence the same
+/// boundary is checked, and on trigger the pc already points at the
+/// next sub-instruction's slot (which holds its plain op), so execution
+/// resumes exactly where the reference interpreter would.
+///
+/// The burst view, the registers, the instruction count and the static
+/// traffic counts are locals of this function for the whole zone (the
+/// burst is opened here and committed on the way out), so the optimizer
+/// may keep them in registers across the stores into the region slices.
 fn fast_zone(
+    mem: &mut Memory,
+    regs: &mut Registers,
+    dp: &DecodedProgram,
+    z: &Zone,
+    instr: &mut u64,
+) -> Result<()> {
+    let mut bm = mem.word_burst();
+    let mut r = *regs;
+    let mut n = 0u64;
+    // The static ops' summed `StaticCost::traffic`, counted into the
+    // burst when the zone ends.
+    let mut traffic = 0u64;
+    // Frame words stored by static ops, by frame-relative index.
+    let mut marks = 0u64;
+    let res = zone_loop(&mut bm, &mut r, dp, z, &mut n, &mut traffic, &mut marks);
+    let [frame_reads, frame_writes, data_reads, data_writes] = StaticCost::lanes(traffic);
+    bm.count_traffic(z.frame, frame_reads, frame_writes);
+    bm.count_traffic(z.data, data_reads, data_writes);
+    while marks != 0 {
+        bm.win_mark(z.frame, r.fp.raw() + 4 * marks.trailing_zeros());
+        marks &= marks - 1;
+    }
+    bm.commit();
+    *regs = r;
+    *instr = n;
+    res
+}
+
+#[inline(always)]
+fn zone_loop(
     bm: &mut WordBurst<'_>,
     regs: &mut Registers,
     dp: &DecodedProgram,
-    data_base: u32,
-    stop_at: u64,
-    instr_left: u64,
+    z: &Zone,
     instr: &mut u64,
+    traffic: &mut u64,
+    marks: &mut u64,
 ) -> Result<()> {
+    let (stop_at, instr_left, data_base) = (z.stop_at, z.instr_left, z.data_base);
     macro_rules! fused {
         ($first:expr $(, $rest:expr)+) => {{
             exec_burst(bm, regs, data_base, instr, $first)?;
@@ -1043,6 +1149,22 @@ fn fast_zone(
         let Some(&op) = dp.ops.get(pc as usize) else {
             return Err(VmError::Trap(format!("pc {pc} out of range")));
         };
+        if let Some(s) = z.costs.get(pc as usize) {
+            // The loop test above keeps `cycles < stop_at`.
+            let cycles = bm.cycles();
+            if s.inner < stop_at - cycles
+                && s.cycles <= z.cut.saturating_sub(cycles)
+                && *instr < z.static_left
+            {
+                let n = exec_static(bm, regs, z, marks, op);
+                if n > 0 {
+                    bm.add_cycles(s.cycles);
+                    *instr += n;
+                    *traffic += s.traffic;
+                    continue;
+                }
+            }
+        }
         match op {
             Op::Ref => return Ok(()),
             Op::LdLKBin { a, k, op } => {
@@ -1083,6 +1205,182 @@ fn fast_zone(
             plain => exec_burst(bm, regs, data_base, instr, plain)?,
         }
     }
+}
+
+/// The static path of one op whose charge the zone has accepted: reads
+/// the words the op reads (values it pushed itself are forwarded, not
+/// re-read), computes its result, and writes the final value of every
+/// word the op stores to, in the order of each word's last store.
+/// Nothing is charged here: the caller charges the op's [`StaticCost`]
+/// as a whole. Returns the instructions the op retired, or 0, with
+/// nothing changed, when an ALU op inside would trap, so the caller can
+/// run the op per access and trap at exactly the reference point.
+///
+/// Frame words among the first 64 of the frame set their bit in
+/// `marks` (frame-relative word index) instead of the dirty bitmap;
+/// [`fast_zone`] marks them when the zone ends, before anything can
+/// read the bitmap. Other words are marked at once.
+#[inline(always)]
+fn exec_static(
+    bm: &mut WordBurst<'_>,
+    regs: &mut Registers,
+    z: &Zone,
+    marks: &mut u64,
+    op: Op,
+) -> u64 {
+    let (f, d) = (z.frame, z.data);
+    let fp = regs.fp.raw();
+    let sp = regs.sp.raw();
+    let pc = regs.pc;
+    let db = z.data_base;
+    macro_rules! alu {
+        ($op:expr, $a:expr, $b:expr) => {
+            match bin_apply($op, $a, $b) {
+                Ok(r) => r,
+                Err(_) => return 0,
+            }
+        };
+    }
+    macro_rules! fr {
+        ($a:expr) => {
+            bm.win_read(f, $a)
+        };
+    }
+    macro_rules! fw {
+        ($a:expr, $v:expr) => {{
+            let (a, v) = ($a, $v as u32);
+            bm.win_store(f, a, v);
+            let i = a.wrapping_sub(fp) >> 2;
+            if i < 64 {
+                *marks |= 1u64 << i;
+            } else {
+                bm.win_mark(f, a);
+            }
+        }};
+    }
+    macro_rules! dw {
+        ($a:expr, $v:expr) => {{
+            let (a, v) = ($a, $v as u32);
+            bm.win_store(d, a, v);
+            bm.win_mark(d, a);
+        }};
+    }
+    let (next_pc, next_sp, n) = match op {
+        Op::Const(v) => {
+            fw!(sp, v);
+            (pc + 1, sp + 4, 1)
+        }
+        Op::LoadLocal(o) => {
+            fw!(sp, fr!(fp + o));
+            (pc + 1, sp + 4, 1)
+        }
+        Op::StoreLocal(o) => {
+            fw!(fp + o, fr!(sp - 4));
+            (pc + 1, sp - 4, 1)
+        }
+        Op::AddrLocal(o) => {
+            fw!(sp, fp + o);
+            (pc + 1, sp + 4, 1)
+        }
+        Op::LoadGlobal(o) => {
+            fw!(sp, bm.win_read(d, db + o));
+            (pc + 1, sp + 4, 1)
+        }
+        Op::StoreGlobal(o) => {
+            dw!(db + o, fr!(sp - 4));
+            (pc + 1, sp - 4, 1)
+        }
+        Op::AddrGlobal(o) => {
+            fw!(sp, db + o);
+            (pc + 1, sp + 4, 1)
+        }
+        Op::Dup => {
+            fw!(sp, fr!(sp - 4));
+            (pc + 1, sp + 4, 1)
+        }
+        Op::Pop => (pc + 1, sp - 4, 1),
+        Op::Swap => {
+            let (a, b) = (fr!(sp - 4), fr!(sp - 8));
+            fw!(sp - 8, a);
+            fw!(sp - 4, b);
+            (pc + 1, sp, 1)
+        }
+        Op::Bin(op) => {
+            let r = alu!(op, fr!(sp - 8) as i32, fr!(sp - 4) as i32);
+            fw!(sp - 8, r);
+            (pc + 1, sp - 4, 1)
+        }
+        Op::Un(op) => {
+            let a = fr!(sp - 4) as i32;
+            let r = match op {
+                UnOp::Neg => a.wrapping_neg(),
+                UnOp::BitNot => !a,
+                UnOp::LogNot => i32::from(a == 0),
+            };
+            fw!(sp - 4, r);
+            (pc + 1, sp, 1)
+        }
+        Op::Jmp(t) => (t, sp, 1),
+        Op::Jz(t) => (if fr!(sp - 4) == 0 { t } else { pc + 1 }, sp - 4, 1),
+        Op::Jnz(t) => (if fr!(sp - 4) != 0 { t } else { pc + 1 }, sp - 4, 1),
+        // `LoadLocal a; Const k; Bin op`: the stack keeps `k` in the
+        // slot above the result.
+        Op::LdLKBin { a, k, op } => {
+            let r = alu!(op, fr!(fp + a) as i32, k);
+            fw!(sp + 4, k);
+            fw!(sp, r);
+            (pc + 3, sp + 4, 3)
+        }
+        Op::LdLKBinSt { a, k, op, d: dst } => {
+            let r = alu!(op, fr!(fp + a) as i32, k);
+            fw!(sp + 4, k);
+            fw!(sp, r);
+            fw!(fp + dst, r);
+            (pc + 4, sp, 4)
+        }
+        Op::LdLKBinBr { a, k, op, t, on_nz } => {
+            let r = alu!(op, fr!(fp + a) as i32, k);
+            fw!(sp + 4, k);
+            fw!(sp, r);
+            (if (r != 0) == on_nz { t } else { pc + 4 }, sp, 4)
+        }
+        Op::LdGKBin { g, k, op } => {
+            let r = alu!(op, bm.win_read(d, db + g) as i32, k);
+            fw!(sp + 4, k);
+            fw!(sp, r);
+            (pc + 3, sp + 4, 3)
+        }
+        Op::LdGKBinSt { g, k, op, d: dst } => {
+            let r = alu!(op, bm.win_read(d, db + g) as i32, k);
+            fw!(sp + 4, k);
+            fw!(sp, r);
+            dw!(db + dst, r);
+            (pc + 4, sp, 4)
+        }
+        // `Const k; Bin op`: `k` stays in the popped slot.
+        Op::KBin { k, op } => {
+            let r = alu!(op, fr!(sp - 4) as i32, k);
+            fw!(sp, k);
+            fw!(sp - 4, r);
+            (pc + 2, sp, 2)
+        }
+        Op::KStL { k, d: dst } => {
+            fw!(sp, k);
+            fw!(fp + dst, k);
+            (pc + 2, sp, 2)
+        }
+        Op::KStG { k, d: dst } => {
+            fw!(sp, k);
+            dw!(db + dst, k);
+            (pc + 2, sp, 2)
+        }
+        Op::LoadInd | Op::StoreInd | Op::Ref => {
+            unreachable!("indirect and Ref ops never take the static path")
+        }
+    };
+    regs.pc = next_pc;
+    regs.sp = Addr(next_sp);
+    n
 }
 
 /// Burst-view twin of [`exec_plain`]: same prologue (pc, instruction

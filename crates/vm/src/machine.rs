@@ -8,6 +8,7 @@ use tics_mcu::{Addr, CostModel, Memory, MemoryLayout, PeripheralBus, Registers};
 use tics_minic::program::{Program, FRAME_HEADER_BYTES};
 use tics_trace::{SpanKind, TraceEvent, TraceRecord, TraceSink};
 
+use crate::decoded::StaticCost;
 use crate::error::VmError;
 use crate::loaded::{LoadedProgram, RET_SENTINEL};
 use crate::runtime::IntermittentRuntime;
@@ -86,6 +87,9 @@ pub struct MachineImage {
     /// Resolved ISR binding: `(function index, period_us)`.
     isr: Option<(u16, u64)>,
     heap_bytes: u32,
+    /// The decoded program's static charges priced under `costs`, for
+    /// frames in SRAM (`[0]`) and in FRAM (`[1]`).
+    static_costs: [Vec<StaticCost>; 2],
 }
 
 impl MachineImage {
@@ -118,9 +122,16 @@ impl MachineImage {
                 Some((fidx, *period_us))
             }
         };
+        // Globals live at the start of FRAM (see `Machine::from_image`).
+        let data = config
+            .layout
+            .word_window(config.layout.fram.start, loaded.program.globals_size);
+        let static_costs =
+            [false, true].map(|fram| loaded.decoded.static_costs(&config.costs, fram, data));
         Ok(Arc::new(MachineImage {
             loaded,
             layout: config.layout,
+            static_costs,
             costs: Arc::new(config.costs.clone()),
             sensor_trace: config.sensor_trace.clone(),
             isr,
@@ -138,6 +149,12 @@ impl MachineImage {
     #[must_use]
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
+    }
+
+    /// The static charges of every pc, priced for frames in FRAM
+    /// (`frame_fram`) or SRAM.
+    pub(crate) fn static_costs(&self, frame_fram: bool) -> &[StaticCost] {
+        &self.static_costs[usize::from(frame_fram)]
     }
 }
 
@@ -172,11 +189,6 @@ pub struct Machine {
     total_off_us: u64,
     trace: TraceSink,
     torn_reported: u64,
-    /// Detail events batched since the last observable boundary. Fixed
-    /// capacity: the buffer never reallocates; filling it forces a
-    /// flush.
-    pending_detail: Vec<TraceRecord>,
-    detail_batching: bool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -257,8 +269,6 @@ impl Machine {
             total_off_us: 0,
             trace: TraceSink::new(),
             torn_reported: 0,
-            pending_detail: Vec::with_capacity(64),
-            detail_batching: true,
         };
         machine.init_globals(true)?;
         Ok(machine)
@@ -293,8 +303,6 @@ impl Machine {
         self.total_off_us = 0;
         self.trace.reset();
         self.torn_reported = 0;
-        self.pending_detail.clear();
-        self.detail_batching = true;
         self.init_globals(true)
     }
 
@@ -402,49 +410,24 @@ impl Machine {
     /// and appended to the trace — the single update path shared by the
     /// VM, the runtimes, and the executor.
     ///
-    /// High-frequency *detail* events ([`TraceEvent::is_detail`]) are
-    /// batched: the stamped record is parked in a fixed buffer and
-    /// folded in bulk at the next observable boundary — any non-detail
-    /// event (checkpoint commits, I/O, power cuts are all non-detail),
-    /// a full buffer, or an explicit [`Machine::flush_trace`]. The
-    /// timestamp and cycle position are captured *here*, so the drained
-    /// stream is byte-identical to unbatched emission.
+    /// A *detail* event ([`TraceEvent::is_detail`]) that the sink would
+    /// not retain (no [`TraceSink::set_detailed`]) costs only its
+    /// counter: it is neither stamped nor pushed, and the span events,
+    /// which count nothing, cost nothing at all.
     pub fn emit(&mut self, event: TraceEvent) {
-        let at_us = self.true_now_us();
-        let cycle = self.mem.cycles();
-        let rec = TraceRecord { at_us, cycle, event };
-        if self.detail_batching && event.is_detail() {
-            if self.pending_detail.len() == self.pending_detail.capacity() {
-                self.flush_trace();
-            }
-            self.pending_detail.push(rec);
+        if event.is_detail() && !self.trace.is_detailed() {
+            // Detail counters take no timestamp, and no detail event is
+            // externally visible, so the sink would only drop it.
+            self.stats.fold_event(&event, 0);
             return;
         }
-        // Batched detail events precede this one in emission order.
-        self.flush_trace();
+        let rec = TraceRecord {
+            at_us: self.true_now_us(),
+            cycle: self.mem.cycles(),
+            event,
+        };
         self.stats.fold_event(&rec.event, rec.at_us);
         self.trace.push(rec);
-    }
-
-    /// Drains the batched detail events into the stats and the trace in
-    /// emission order. The executor calls this at every run-loop exit;
-    /// it is implicit before every non-detail (observable) event.
-    pub fn flush_trace(&mut self) {
-        for i in 0..self.pending_detail.len() {
-            let rec = self.pending_detail[i];
-            self.stats.fold_event(&rec.event, rec.at_us);
-            self.trace.push(rec);
-        }
-        self.pending_detail.clear();
-    }
-
-    /// Enables or disables batched detail emission (on by default).
-    /// With batching off, every event folds and records immediately —
-    /// the differential trace oracle runs both ways to prove the
-    /// streams identical.
-    pub fn set_detail_batching(&mut self, on: bool) {
-        self.flush_trace();
-        self.detail_batching = on;
     }
 
     /// Opens cycle-attribution span `kind`: every cycle charged until
@@ -1005,58 +988,5 @@ mod tests {
             },
         );
         assert!(matches!(r, Err(VmError::Load(_))));
-    }
-
-    /// Detail events park in the pending buffer until the next
-    /// non-detail (observable-boundary) emit, which drains them first so
-    /// the recorded stream is identical to per-event emission.
-    #[test]
-    fn batched_details_flush_at_observable_boundary() {
-        let events = [
-            TraceEvent::UndoAppend { bytes: 4 },
-            TraceEvent::StackGrow,
-            TraceEvent::CheckpointCommit {
-                cause: tics_trace::CkptCause::Site,
-                bytes: 64,
-            },
-            TraceEvent::StackShrink,
-            TraceEvent::Rollback { bytes: 4 },
-        ];
-
-        let mut batched = machine("int main() { return 0; }");
-        batched.trace_mut().set_detailed(true);
-        for (i, ev) in events.iter().enumerate() {
-            batched.mem.add_cycles(10); // distinct timestamps per event
-            batched.emit(*ev);
-            if i == 1 {
-                assert_eq!(
-                    batched.trace().len(),
-                    0,
-                    "detail events must not reach the sink before a boundary"
-                );
-            }
-            if i == 2 {
-                assert_eq!(
-                    batched.trace().len(),
-                    3,
-                    "a boundary event must drain the batch ahead of itself"
-                );
-            }
-        }
-        batched.flush_trace();
-
-        let mut unbatched = machine("int main() { return 0; }");
-        unbatched.trace_mut().set_detailed(true);
-        unbatched.set_detail_batching(false);
-        for ev in &events {
-            unbatched.mem.add_cycles(10);
-            unbatched.emit(*ev);
-        }
-
-        assert_eq!(batched.trace().records(), unbatched.trace().records());
-        assert_eq!(
-            batched.stats().checkpoint_bytes,
-            unbatched.stats().checkpoint_bytes
-        );
     }
 }

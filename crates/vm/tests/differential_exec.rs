@@ -16,9 +16,11 @@
 //! continuous power, periodic intermittent power, adversarial fault
 //! plans with torn writes, brown-out store corruption, an
 //! ISR-configured machine (the decoded engine's per-instruction "safe"
-//! mode), voltage-comparator warnings, and TICS on short odd
-//! checkpoint timers (the burst loop stopping at the runtime's hook
-//! deadlines).
+//! mode), voltage-comparator warnings, TICS on short odd checkpoint
+//! timers (the burst loop stopping at the runtime's hook deadlines),
+//! and every fallback of the burst loop's static path: cuts, stops and
+//! instruction budgets inside fused ops, traps inside fused ops, and a
+//! layout where no window resolves.
 
 use tics_apps::build::{build_app, make_runtime, App, Scale, SystemUnderTest};
 use tics_bench::fault::{build_fault_program, FaultProgram};
@@ -27,10 +29,11 @@ use tics_energy::{
     AdversarialSupply, ContinuousPower, Corruption, FaultPlan, PeriodicTrace, PowerSupply,
 };
 use tics_mcu::memory::MemoryStats;
-use tics_mcu::CorruptionModel;
+use tics_mcu::{Addr, CorruptionModel, MemoryLayout, Region, Registers};
 use tics_minic::opt::OptLevel;
 use tics_minic::{compile, passes, Program};
 use tics_trace::{SpanKind, TraceRecord};
+use tics_vm::decoded::Op;
 use tics_vm::{
     BareRuntime, DispatchEngine, Executor, ExecStats, IntermittentRuntime, Machine, MachineConfig,
 };
@@ -67,8 +70,11 @@ struct Snapshot {
     stats: ExecStats,
     mem_stats: MemoryStats,
     span: [u64; SpanKind::COUNT],
+    regs: Registers,
     sram: Vec<u8>,
     fram: Vec<u8>,
+    /// Dirty words of both regions, in address order.
+    dirty: Vec<Addr>,
 }
 
 /// A rebuildable power-supply spec (each engine run needs a fresh one).
@@ -140,6 +146,11 @@ fn run_one(
         .mem
         .peek_bytes(layout.fram.start, layout.fram.len())
         .expect("FRAM dump");
+    let mut dirty = Vec::new();
+    for r in [layout.sram, layout.fram] {
+        m.mem
+            .for_each_dirty_word(r.start, r.len(), |a| dirty.push(a));
+    }
     Snapshot {
         outcome,
         trace: m.trace().records().to_vec(),
@@ -147,8 +158,10 @@ fn run_one(
         stats: m.stats().clone(),
         mem_stats: m.mem.stats(),
         span: m.mem.span_cycles_all(),
+        regs: m.regs,
         sram,
         fram,
+        dirty,
     }
 }
 
@@ -204,6 +217,8 @@ fn assert_engines_agree_under(
     assert_eq!(reference.stats, decoded.stats, "[{label}] exec stats");
     assert_eq!(reference.mem_stats, decoded.mem_stats, "[{label}] memory stats");
     assert_eq!(reference.span, decoded.span, "[{label}] span cycle attribution");
+    assert_eq!(reference.regs, decoded.regs, "[{label}] registers");
+    assert_eq!(reference.dirty, decoded.dirty, "[{label}] dirty words");
     assert!(
         reference.sram == decoded.sram,
         "[{label}] final SRAM contents differ"
@@ -507,6 +522,245 @@ fn voltage_warning_agrees_across_engines() {
                     on_us: 6_007,
                     off_us: 150,
                 },
+                None,
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The static path's fallbacks
+// ---------------------------------------------------------------------
+
+/// A loop of fused ops with SRAM-frame and FRAM-global stores: `s = s +
+/// 3` (`LdLKBinSt`), `g = g + 5` (`LdGKBinSt`), `h = 7` (`KStG`), `t =
+/// 9` (`KStL`), `(s + i) * 2` (`KBin`) and the `i < 40` header
+/// (`LdLKBinBr`).
+const STATIC_PATH_SRC: &str = "
+    nv int g;
+    nv int h;
+    int main() {
+        int s = 0;
+        int t = 0;
+        int i = 0;
+        while (i < 40) {
+            s = s + 3;
+            g = g + 5;
+            h = 7;
+            t = 9;
+            s = (s + i) * 2 + t;
+            i = i + 1;
+        }
+        send(s);
+        return g;
+    }
+";
+
+/// [`STATIC_PATH_SRC`] built for the systems whose frames live in SRAM
+/// (plain C), in FRAM (Ratchet) and in TICS's segments.
+fn static_path_cells() -> Vec<(String, Program, SystemUnderTest)> {
+    let mut cells = Vec::new();
+    for system in [
+        SystemUnderTest::PlainC,
+        SystemUnderTest::Ratchet,
+        SystemUnderTest::Tics,
+    ] {
+        let mut prog = compile(STATIC_PATH_SRC, OptLevel::O1).expect("compile static-path program");
+        match system {
+            SystemUnderTest::Ratchet => passes::instrument_ratchet(&mut prog),
+            SystemUnderTest::Tics => passes::instrument_tics(&mut prog),
+            _ => Ok(()),
+        }
+        .expect("instrument static-path program");
+        cells.push((format!("static-path/{system:?}"), prog, system));
+    }
+    let m =
+        Machine::new(cells[0].1.clone(), MachineConfig::default()).expect("machine construction");
+    let ops = &m.loaded().decoded.ops;
+    for want in [
+        "LdLKBinSt",
+        "LdGKBinSt",
+        "LdLKBinBr",
+        "KBin",
+        "KStL",
+        "KStG",
+    ] {
+        assert!(
+            ops.iter().any(|op| format!("{op:?}").starts_with(want)),
+            "the static-path program fuses no {want}"
+        );
+    }
+    cells
+}
+
+/// The cycles and instructions of one continuous run, and of one loop
+/// iteration (the program's 40 iterations dominate the run).
+fn run_extent(prog: &Program, system: SystemUnderTest) -> (u64, u64, u64, u64) {
+    let golden = run_one(
+        prog,
+        &MachineConfig::default(),
+        &|| make_runtime(system, prog),
+        &base_executor(),
+        &Supply::Continuous,
+        None,
+    );
+    let (cycles, instrs) = (golden.cycles, golden.stats.instructions);
+    (cycles, instrs, cycles / 40 + 8, instrs / 40 + 4)
+}
+
+#[test]
+fn static_path_cut_at_every_offset_agrees() {
+    // One cut per cycle across a whole loop iteration from mid-run: the
+    // cut lands at every offset inside each fused op's charge (stores
+    // past it tear), at its start and at its end.
+    let cfg = MachineConfig::default();
+    for (label, prog, system) in static_path_cells() {
+        let (cycles, _, per_iter, _) = run_extent(&prog, system);
+        for cut in cycles / 2..cycles / 2 + per_iter {
+            assert_engines_agree(
+                &format!("{label}/cut-{cut}"),
+                &prog,
+                &cfg,
+                &|| make_runtime(system, &prog),
+                &Supply::Adversarial(FaultPlan::single(cut, 150)),
+                None,
+            );
+        }
+    }
+}
+
+#[test]
+fn static_path_stop_and_budget_at_every_offset_agree() {
+    // A stop boundary with no cut (the time budget) at every cycle of a
+    // loop iteration, and the instruction budget at every instruction of
+    // one: both land strictly inside the 4-instruction fused ops.
+    let cfg = MachineConfig::default();
+    for (label, prog, system) in static_path_cells() {
+        let (cycles, instrs, per_iter, instrs_per_iter) = run_extent(&prog, system);
+        for stop in cycles / 2..cycles / 2 + per_iter {
+            let exec = base_executor().with_time_budget(stop);
+            assert_engines_agree_under(
+                &exec,
+                &format!("{label}/stop-{stop}"),
+                &prog,
+                &cfg,
+                &|| make_runtime(system, &prog),
+                &Supply::Continuous,
+                None,
+            );
+        }
+        for budget in instrs / 2..instrs / 2 + instrs_per_iter {
+            let exec = base_executor().with_instruction_budget(budget);
+            assert_engines_agree_under(
+                &exec,
+                &format!("{label}/budget-{budget}"),
+                &prog,
+                &cfg,
+                &|| make_runtime(system, &prog),
+                &Supply::Continuous,
+                None,
+            );
+        }
+    }
+}
+
+#[test]
+fn static_path_traps_inside_fused_ops_agree() {
+    // Division and remainder by an immediate zero trap at the `Bin` of a
+    // fused op, after its earlier sub-ops stored: pc, sp, counts,
+    // cycles, traffic, memory and dirty words must match the reference.
+    let cfg = MachineConfig::default();
+    let cases = [
+        ("return x / 0;", "LdLKBin"),
+        ("x = x / 0; return x;", "LdLKBinSt"),
+        ("if (x % 0) { x = 1; } return x;", "LdLKBinBr"),
+        ("return (x + 1) / 0;", "KBin"),
+        ("return g % 0;", "LdGKBin"),
+        ("g = g / 0; return g;", "LdGKBinSt"),
+    ];
+    for (body, name) in cases {
+        let src = format!(
+            "nv int g; int main() {{ int x = 7; g = 3; int y = x + g; x = y * 2; {body} }}"
+        );
+        let prog = compile(&src, OptLevel::O1).expect("compile trap program");
+        let m = Machine::new(prog.clone(), cfg.clone()).expect("machine construction");
+        let by_zero = |op: &Op| {
+            let text = format!("{op:?}");
+            text.starts_with(&format!("{name} {{"))
+                && text.contains("k: 0")
+                && (text.contains("op: Div") || text.contains("op: Mod"))
+        };
+        assert!(
+            m.loaded().decoded.ops.iter().any(by_zero),
+            "{name}: the trap program fuses no {name} by zero"
+        );
+        for supply in [
+            Supply::Continuous,
+            Supply::Periodic {
+                on_us: 30,
+                off_us: 150,
+            },
+        ] {
+            assert_engines_agree(
+                &format!("trap-{name}/{supply:?}"),
+                &prog,
+                &cfg,
+                &|| Box::new(BareRuntime::new()),
+                &supply,
+                None,
+            );
+        }
+    }
+}
+
+#[test]
+fn static_path_falls_back_on_an_unaligned_layout() {
+    // FRAM starts 2 bytes off word alignment, so the word-aligned
+    // frames Ratchet and TICS place in FRAM sit off the region's
+    // dirty-word grid: no frame window resolves and every frame op runs
+    // per access. (Plain C's SRAM frames and the globals, at the start of
+    // FRAM, stay on their grids and keep the static path.)
+    let cfg = MachineConfig {
+        layout: MemoryLayout::new(
+            Region::with_len(Addr(0x1C00), 2 * 1024),
+            Region::with_len(Addr(0x4002), 64 * 1024),
+        ),
+        ..MachineConfig::default()
+    };
+    let mut cells = static_path_cells();
+    cells.extend(fault_grid().into_iter().filter(|(label, _, _)| {
+        label.starts_with("nv-accumulator") || label.starts_with("ghm-mini")
+    }));
+    for (label, prog, system) in cells {
+        if matches!(system, SystemUnderTest::Ratchet | SystemUnderTest::Tics) {
+            let run = run_one(
+                &prog,
+                &cfg,
+                &|| make_runtime(system, &prog),
+                &base_executor(),
+                &Supply::Continuous,
+                None,
+            );
+            assert!(
+                cfg.layout.fram.contains(run.regs.fp)
+                    && cfg.layout.word_window(run.regs.fp, 4).is_none(),
+                "[{label}] frames must sit in FRAM off its word grid (fp {})",
+                run.regs.fp
+            );
+        }
+        for supply in [
+            Supply::Continuous,
+            Supply::Periodic {
+                on_us: 9_000,
+                off_us: 150,
+            },
+        ] {
+            assert_engines_agree(
+                &format!("{label}/unaligned/{supply:?}"),
+                &prog,
+                &cfg,
+                &|| make_runtime(system, &prog),
+                &supply,
                 None,
             );
         }
